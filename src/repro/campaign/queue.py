@@ -4,11 +4,12 @@ This is the coordination layer that lets N independent worker processes
 — on one or many hosts pointed at a shared SQLite database — drain a
 single campaign without losing or duplicating a result:
 
-* **claim** — atomically take the next runnable job (not ``done``, no
-  live lease) under ``BEGIN IMMEDIATE``, so concurrent claimers
-  serialize on SQLite's write lock and each job is handed to exactly one
-  worker.  Claiming bumps the job's monotone ``lease_seq`` counter; that
-  value is the worker's *fencing token* for this execution.
+* **claim** — atomically take runnable jobs (not ``done``, no live
+  lease), one or a whole batch, under ``BEGIN IMMEDIATE``, so
+  concurrent claimers serialize on SQLite's write lock and each job is
+  handed to exactly one worker.  Claiming bumps the job's monotone
+  ``lease_seq`` counter; that value is the worker's *fencing token* for
+  this execution.
 * **heartbeat** — renew the lease deadline periodically while the
   simulation runs (wired into the simulator's watchdog checkpoint via
   :func:`repro.sim.pool.sim_progress`).  Renewal is fenced: if the lease
@@ -41,8 +42,9 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from ..envknobs import read_float
+from ..obs.metrics import job_metrics
 from .serde import result_to_json
-from .store import ResultStore
+from .store import PROGRESS_UPSERT, ResultStore, progress_params
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..metrics.summary import WorkloadResult
@@ -73,6 +75,9 @@ _TXN_RETRIES = 4
 _TXN_BACKOFF_S = 0.05
 _TXN_BACKOFF_MAX_S = 1.0
 _CHUNK = 500
+# First chunk of a bounded claim: enough to step over a few leased or
+# done keys without reading the whole list.
+_FIRST_CHUNK = 8
 
 
 def default_lease_s() -> float:
@@ -172,85 +177,121 @@ class LeaseQueue:
         return row
 
     # -- protocol -------------------------------------------------------------
-    def claim_next(self, keys: Sequence[str]) -> Lease | None:
-        """Atomically claim the first runnable job in ``keys`` order.
+    def claim(
+        self, keys: Sequence[str], limit: int | None = None
+    ) -> list[Lease]:
+        """Atomically claim the runnable jobs in ``keys``, in ``keys`` order.
 
         Runnable means: registered, not ``done``, and carrying no live
-        lease.  An *expired* lease on the key is reclaimed in the same
-        transaction (its job is re-issued to this worker).  Returns
-        ``None`` when every key is done or leased out to live workers.
+        lease.  An *expired* lease on a key is reclaimed in the same
+        transaction (its job is re-issued to this worker).  Every claim
+        raises the job's ``lease_seq`` by one: the new value is the
+        lease's fencing token.  ``keys`` is read in chunks — starting
+        small when ``limit`` is set, so a one-job claim whose first keys
+        are runnable touches a few rows — and the walk stops once
+        ``limit`` leases are taken.  One ``BEGIN IMMEDIATE`` transaction
+        covers the whole batch, so concurrent claimers get disjoint sets.
         """
 
         def fn(conn):
             now = self._clock()
-            for start in range(0, len(keys), _CHUNK):
-                chunk = list(keys[start : start + _CHUNK])
+            deadline = now + self.lease_s
+            leases: list[Lease] = []
+            seen: set[str] = set()
+            size = _CHUNK if limit is None else min(_CHUNK, max(_FIRST_CHUNK, limit))
+            start = 0
+            while start < len(keys) and (limit is None or len(leases) < limit):
+                chunk = list(keys[start : start + size])
+                start += len(chunk)
+                size = min(_CHUNK, size * 2)
                 marks = ",".join("?" * len(chunk))
-                status = {
-                    row["key"]: row["status"]
+                jobs = {
+                    row["key"]: row
                     for row in conn.execute(
-                        f"SELECT key, status FROM jobs WHERE key IN ({marks})",
+                        "SELECT key, status, lease_seq FROM jobs "
+                        f"WHERE key IN ({marks})",
                         chunk,
                     )
                 }
                 held = {
                     row["key"]: row
                     for row in conn.execute(
-                        f"SELECT * FROM leases WHERE key IN ({marks})", chunk
+                        "SELECT key, campaign, worker_id, lease_deadline "
+                        f"FROM leases WHERE key IN ({marks})",
+                        chunk,
                     )
                 }
+                stale: list[sqlite3.Row] = []
+                taken: list[Lease] = []
                 for key in chunk:
-                    if status.get(key) in (None, "done"):
+                    job = jobs.get(key)
+                    # A grid that lists one mix twice repeats its keys.
+                    if job is None or job["status"] == "done" or key in seen:
                         continue
-                    stale = held.get(key)
-                    if stale is not None:
-                        if float(stale["lease_deadline"]) > now:
+                    lease_row = held.get(key)
+                    if lease_row is not None:
+                        if float(lease_row["lease_deadline"]) > now:
                             continue  # live lease; someone else is on it
-                        conn.execute(
-                            "DELETE FROM leases WHERE key = ?", (key,)
-                        )
-                        conn.execute(
-                            "UPDATE campaigns SET reclaims = reclaims + 1 "
-                            "WHERE fingerprint = ?",
-                            (stale["campaign"],),
-                        )
-                        QUEUE_STATS["leases_expired"] += 1
-                        QUEUE_STATS["leases_reclaimed"] += 1
-                        logger.warning(
-                            "reclaimed expired lease on %s from %s",
-                            key[:12],
-                            stale["worker_id"],
-                        )
-                    conn.execute(
-                        "UPDATE jobs SET lease_seq = lease_seq + 1 "
-                        "WHERE key = ?",
-                        (key,),
+                        stale.append(lease_row)
+                    seen.add(key)
+                    taken.append(
+                        Lease(key, self.worker_id, int(job["lease_seq"]) + 1, deadline)
                     )
-                    seq = int(
-                        conn.execute(
-                            "SELECT lease_seq FROM jobs WHERE key = ?", (key,)
-                        ).fetchone()["lease_seq"]
-                    )
-                    deadline = now + self.lease_s
-                    conn.execute(
-                        "INSERT INTO leases (key, campaign, worker_id, attempt,"
-                        " claimed_at, heartbeat_at, lease_deadline) "
-                        "VALUES (?, ?, ?, ?, ?, ?, ?)",
+                    if limit is not None and len(leases) + len(taken) >= limit:
+                        break
+                self._reclaim_rows(conn, stale)
+                conn.executemany(
+                    "UPDATE jobs SET lease_seq = lease_seq + 1 WHERE key = ?",
+                    [(lease.key,) for lease in taken],
+                )
+                conn.executemany(
+                    "INSERT INTO leases (key, campaign, worker_id, attempt,"
+                    " claimed_at, heartbeat_at, lease_deadline) "
+                    "VALUES (?, ?, ?, ?, ?, ?, ?)",
+                    [
                         (
-                            key,
+                            lease.key,
                             self.fingerprint,
                             self.worker_id,
-                            seq,
+                            lease.attempt,
                             now,
                             now,
                             deadline,
-                        ),
-                    )
-                    QUEUE_STATS["leases_claimed"] += 1
-                    return Lease(key, self.worker_id, seq, deadline)
-            return None
+                        )
+                        for lease in taken
+                    ],
+                )
+                QUEUE_STATS["leases_claimed"] += len(taken)
+                leases.extend(taken)
+            return leases
 
         return self._txn("claim", fn)
+
+    def claim_next(self, keys: Sequence[str]) -> Lease | None:
+        """Claim the first runnable job in ``keys`` order (see
+        :meth:`claim`); ``None`` when every key is done or leased out to
+        live workers."""
+        leases = self.claim(keys, 1)
+        return leases[0] if leases else None
+
+    @staticmethod
+    def _reclaim_rows(conn, rows: Sequence[sqlite3.Row]) -> None:
+        """Delete expired lease ``rows`` and credit each owning campaign's
+        ``reclaims`` counter (inside the caller's transaction)."""
+        for row in rows:
+            conn.execute("DELETE FROM leases WHERE key = ?", (row["key"],))
+            conn.execute(
+                "UPDATE campaigns SET reclaims = reclaims + 1 "
+                "WHERE fingerprint = ?",
+                (row["campaign"],),
+            )
+            logger.warning(
+                "reclaimed expired lease on %s from %s",
+                row["key"][:12],
+                row["worker_id"],
+            )
+        QUEUE_STATS["leases_expired"] += len(rows)
+        QUEUE_STATS["leases_reclaimed"] += len(rows)
 
     def heartbeat(self, lease: Lease) -> Lease | None:
         """Renew the lease deadline; ``None`` means fenced out (the lease
@@ -277,10 +318,27 @@ class LeaseQueue:
         lease: Lease,
         result: "WorkloadResult",
         wall_time_s: float | None = None,
+        *,
+        attempt: int = 0,
+        worker: str | None = None,
     ) -> bool:
-        """Fenced commit: persist the result and release the lease in one
-        transaction iff the fencing token still matches.  Returns False
-        (and changes nothing) for a stale worker."""
+        """Fenced commit: persist the result, its ``done`` progress row
+        (``attempt``/``worker`` key it, the per-job ``sim.*`` metrics blob
+        rides in it) and release the lease in one transaction iff the
+        fencing token still matches.  Returns False (and changes nothing)
+        for a stale worker."""
+        events_per_sec = (
+            result.events_logical / wall_time_s if wall_time_s else None
+        )
+        progress = progress_params(
+            lease.key,
+            attempt,
+            worker,
+            "done",
+            wall_time_s=wall_time_s,
+            events_per_sec=events_per_sec,
+            metrics=job_metrics(result),
+        )
 
         def fn(conn):
             if self._fenced_row(conn, lease) is None:
@@ -297,6 +355,7 @@ class LeaseQueue:
                 "WHERE key = ?",
                 (result_to_json(result), wall_time_s, lease.key),
             )
+            conn.execute(PROGRESS_UPSERT, progress)
             conn.execute("DELETE FROM leases WHERE key = ?", (lease.key,))
             return True
 
@@ -342,21 +401,7 @@ class LeaseQueue:
                 "WHERE lease_deadline <= ?",
                 (now,),
             ).fetchall()
-            for row in rows:
-                conn.execute("DELETE FROM leases WHERE key = ?", (row["key"],))
-                conn.execute(
-                    "UPDATE campaigns SET reclaims = reclaims + 1 "
-                    "WHERE fingerprint = ?",
-                    (row["campaign"],),
-                )
-                logger.warning(
-                    "reclaimed expired lease on %s from %s",
-                    row["key"][:12],
-                    row["worker_id"],
-                )
-            n = len(rows)
-            QUEUE_STATS["leases_expired"] += n
-            QUEUE_STATS["leases_reclaimed"] += n
+            self._reclaim_rows(conn, rows)
             return [row["key"] for row in rows]
 
         return self._txn("reclaim", fn)

@@ -62,6 +62,7 @@ from typing import Any, Iterable, Mapping
 from ..config import SystemConfig, baseline_system
 from ..sim.diskcache import SIM_FINGERPRINT, content_key
 from ..sim.factory import make_scheduler
+from ..workloads.generator import MIN_INSTRUCTIONS
 from ..workloads.mixes import (
     CASE_STUDY_1,
     CASE_STUDY_2,
@@ -261,6 +262,24 @@ class CampaignSpec:
                 "campaign has no mixes: mix_count=0 and no explicit mix "
                 f"matches num_cores={sorted(cores)}"
             )
+        # Generated mixes are all synthetic; explicit ones only count
+        # where their length puts them in the grid.
+        synthetic = has_generated or any(
+            not b.startswith(_TRACE_PREFIX)
+            for mix in self.mixes
+            if len(mix) in cores
+            for b in mix
+        )
+        if (
+            synthetic
+            and self.instructions is not None
+            and self.instructions < MIN_INSTRUCTIONS
+        ):
+            raise ValueError(
+                f"instructions={self.instructions} is below the synthetic "
+                f"trace generator's minimum of {MIN_INSTRUCTIONS} (only "
+                "campaigns whose mixes are all trace: entries may go lower)"
+            )
 
     # -- external traces -----------------------------------------------------
     @staticmethod
@@ -415,12 +434,35 @@ class CampaignSpec:
         return self.instructions or default_instructions()
 
     # -- expansion -----------------------------------------------------------
+    def _expand_inputs(self) -> tuple:
+        """What :meth:`expand` reads from the environment: the resolved
+        instruction count (``REPRO_SCALE``) and, when ``mix_count`` is
+        None, the per-core-count mix counts (``REPRO_WORKLOADS``)."""
+        if self.mix_count is not None:
+            return (self.resolved_instructions(),)
+        from ..experiments.aggregate import default_workload_count
+
+        return (
+            self.resolved_instructions(),
+            tuple(default_workload_count(cores) for cores in self.num_cores),
+        )
+
     def expand(self) -> list[CampaignJob]:
         """The full deterministic job grid, in canonical order.
 
         Order is cores-major, then seed, then mix, then variant — so all
         variants of one mix are adjacent (the grouping the reports use).
+        The grid is computed once per spec instance and environment;
+        each call returns a fresh list over the same frozen jobs.
         """
+        inputs = self._expand_inputs()
+        memo = self.__dict__.get("_expand_memo")
+        if memo is None or memo[0] != inputs:
+            memo = (inputs, tuple(self._expand_grid()))
+            object.__setattr__(self, "_expand_memo", memo)
+        return list(memo[1])
+
+    def _expand_grid(self) -> list[CampaignJob]:
         instructions = self.resolved_instructions()
         hashes = self.trace_hashes()
         carried = tuple((alias, path) for alias, path, _sha in self.trace_files)

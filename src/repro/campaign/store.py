@@ -150,6 +150,44 @@ def default_db_path() -> str:
     return str(default_cache_dir() / "campaigns.sqlite")
 
 
+# One (job, attempt) progress row; :meth:`ResultStore.record_progress`
+# commits it alone, the queue's fenced completion inside its transaction.
+PROGRESS_UPSERT = (
+    "INSERT INTO progress (key, attempt, worker, status, wall_time_s, "
+    " events_per_sec, metrics_json, updated_at) "
+    "VALUES (?, ?, ?, ?, ?, ?, ?, ?) "
+    "ON CONFLICT(key, attempt) DO UPDATE SET "
+    " worker = excluded.worker, status = excluded.status, "
+    " wall_time_s = excluded.wall_time_s, "
+    " events_per_sec = excluded.events_per_sec, "
+    " metrics_json = excluded.metrics_json, "
+    " updated_at = excluded.updated_at"
+)
+
+
+def progress_params(
+    key: str,
+    attempt: int,
+    worker: str | None,
+    status: str,
+    *,
+    wall_time_s: float | None = None,
+    events_per_sec: float | None = None,
+    metrics: dict | None = None,
+) -> tuple:
+    """Parameters of :data:`PROGRESS_UPSERT` for one row."""
+    return (
+        key,
+        attempt,
+        worker,
+        status,
+        wall_time_s,
+        events_per_sec,
+        json.dumps(metrics, sort_keys=True) if metrics is not None else None,
+        time.time(),
+    )
+
+
 class ResultStore:
     """Transactional store for campaign job results (one SQLite file)."""
 
@@ -357,24 +395,15 @@ class ResultStore:
         """
         self._commit_with_retry(
             key,
-            "INSERT INTO progress (key, attempt, worker, status, wall_time_s, "
-            " events_per_sec, metrics_json, updated_at) "
-            "VALUES (?, ?, ?, ?, ?, ?, ?, ?) "
-            "ON CONFLICT(key, attempt) DO UPDATE SET "
-            " worker = excluded.worker, status = excluded.status, "
-            " wall_time_s = excluded.wall_time_s, "
-            " events_per_sec = excluded.events_per_sec, "
-            " metrics_json = excluded.metrics_json, "
-            " updated_at = excluded.updated_at",
-            (
+            PROGRESS_UPSERT,
+            progress_params(
                 key,
                 attempt,
                 worker,
                 status,
-                wall_time_s,
-                events_per_sec,
-                json.dumps(metrics, sort_keys=True) if metrics is not None else None,
-                time.time(),
+                wall_time_s=wall_time_s,
+                events_per_sec=events_per_sec,
+                metrics=metrics,
             ),
         )
 

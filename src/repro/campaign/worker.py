@@ -11,8 +11,9 @@ into a drain loop that both entry points share:
   haven't.
 
 The loop per iteration: reclaim expired leases (dead/hung peers), settle
-keys that peers finished, claim the next runnable job in grid order, and
-execute it under a heartbeat — the simulator's watchdog checkpoint
+keys that peers finished, claim runnable jobs in grid order (the serial
+drain one at a time, the pool drain all of them in one transaction), and
+execute each under a heartbeat — the simulator's watchdog checkpoint
 renews the lease mid-simulation via :func:`repro.sim.pool.sim_progress`,
 so a lease outlives any job whose worker is actually alive.  Completion
 is fenced by :meth:`LeaseQueue.complete`: if this worker was presumed
@@ -38,7 +39,7 @@ from ..config import baseline_system
 from ..guard.chaos import ChaosPlan
 from ..metrics.summary import WorkloadResult
 from ..obs.config import TraceConfig
-from ..obs.metrics import job_metrics, metrics_from_env
+from ..obs.metrics import metrics_from_env
 from ..sim import pool
 from ..sim.pool import POOL_INCIDENT_LIMIT, SimJob, terminate_pool
 from .queue import Lease, LeaseQueue, default_heartbeat_s
@@ -182,33 +183,21 @@ class _Drain:
     def _resolve(self, key: str) -> None:
         self.unresolved.remove(key)
 
-    def _progress_done(
-        self, lease: Lease, result: WorkloadResult, wall: float, attempt: int, pid: int
-    ) -> None:
-        events_per_sec = result.events_logical / wall if wall > 0 else None
-        self.store.record_progress(
-            lease.key,
-            attempt,
-            str(pid),
-            "done",
-            wall_time_s=wall,
-            events_per_sec=events_per_sec,
-            metrics=job_metrics(result),
-        )
-        registry = metrics_from_env()
-        if registry is not None:
-            registry.counter("campaign.jobs_ran").inc()
-            registry.histogram("campaign.job_wall_s").observe(wall)
-        if self.cb.on_done is not None:
-            self.cb.on_done(self.by_key[lease.key], result, wall, attempt, str(pid))
-
     def _commit(
         self, lease: Lease, result: WorkloadResult, wall: float, attempt: int, pid: int
     ) -> bool:
-        """Fenced completion; False means a peer owns the job now."""
-        if self.queue.complete(lease, result, wall_time_s=wall):
+        """Fenced completion, its ``done`` progress row in the same
+        transaction; False means a peer owns the job now."""
+        if self.queue.complete(
+            lease, result, wall_time_s=wall, attempt=attempt, worker=str(pid)
+        ):
             self.stats.completed += 1
-            self._progress_done(lease, result, wall, attempt, pid)
+            registry = metrics_from_env()
+            if registry is not None:
+                registry.counter("campaign.jobs_ran").inc()
+                registry.histogram("campaign.job_wall_s").observe(wall)
+            if self.cb.on_done is not None:
+                self.cb.on_done(self.by_key[lease.key], result, wall, attempt, str(pid))
             self._resolve(lease.key)
             return True
         self.stats.fenced += 1
@@ -366,16 +355,9 @@ class _Drain:
 
     # -- pool drain (ported generational machinery) ---------------------------
     def _claim_all(self) -> dict[str, Lease]:
-        held: dict[str, Lease] = {}
-        claimable = list(self.unresolved)
-        while claimable:
-            lease = self.queue.claim_next(claimable)
-            if lease is None:
-                break
-            self.stats.claimed += 1
-            held[lease.key] = lease
-            claimable.remove(lease.key)
-        return held
+        leases = self.queue.claim(self.unresolved)
+        self.stats.claimed += len(leases)
+        return {lease.key: lease for lease in leases}
 
     def _renew_held(self, held: dict[str, Lease], frozen: set[str]) -> list[str]:
         """Renew every held lease; returns keys fenced out (lost)."""

@@ -30,12 +30,14 @@ from ..cpu.trace import Trace, TraceEntry
 from ..dram.address import CACHE_LINE_BYTES, AddressMapping
 from .profiles import BenchmarkProfile
 
-__all__ = ["TraceGenerator", "generate_trace"]
+__all__ = ["MIN_INSTRUCTIONS", "TraceGenerator", "generate_trace"]
 
 # Instructions between accesses inside a burst: small enough that a burst
 # fits comfortably in a 128-entry instruction window.
 _BURST_GAP = 2
 _MIN_ACCESSES = 24
+# Shortest synthetic trace :meth:`TraceGenerator.generate` produces.
+MIN_INSTRUCTIONS = 1000
 
 # Per-benchmark (walkers, jump_dep_prob, cont_dep_prob) fitted by
 # repro.workloads.calibrate so that alone-run BLP on the baseline 4-core
@@ -125,8 +127,8 @@ class TraceGenerator:
     ) -> Trace:
         """Generate a trace of roughly ``instructions`` instructions whose
         statistics track ``profile``."""
-        if instructions < 1000:
-            raise ValueError("instructions must be at least 1000")
+        if instructions < MIN_INSTRUCTIONS:
+            raise ValueError(f"instructions must be at least {MIN_INSTRUCTIONS}")
         # zlib.crc32 is stable across processes (unlike hash()), keeping
         # generation reproducible run to run.
         rng = random.Random((zlib.crc32(profile.name.encode()) ^ seed) & 0xFFFFFFFF)

@@ -12,6 +12,7 @@ from repro.campaign.spec import (
     spec_from_dict,
 )
 from repro.config import baseline_system
+from repro.workloads.generator import MIN_INSTRUCTIONS
 from repro.workloads.mixes import CASE_STUDY_1, CASE_STUDY_2, random_mixes
 
 
@@ -72,6 +73,29 @@ def test_spec_rejects_bad_cores_and_seeds():
         _spec(seeds=())
 
 
+def test_spec_rejects_instructions_below_generator_minimum():
+    """A synthetic mix below the generator's minimum would register its
+    grid and then fail every job at run time; refuse it up front."""
+    with pytest.raises(ValueError, match=f"minimum of {MIN_INSTRUCTIONS}"):
+        _spec(instructions=MIN_INSTRUCTIONS - 1)
+    # One synthetic entry in a mix that is in the grid is enough.
+    with pytest.raises(ValueError, match="minimum"):
+        _spec(
+            mix_count=0,
+            mixes=(("trace:stream-hi", "mcf", "trace:chase-lo", "hmmer"),),
+            instructions=500,
+        )
+    assert _spec(instructions=MIN_INSTRUCTIONS).instructions == MIN_INSTRUCTIONS
+    # Trace-only grids are sliced from the trace file, not generated:
+    # any positive count stays valid.
+    traced = _spec(
+        mix_count=0,
+        mixes=(("trace:stream-hi", "trace:chase-lo") * 2,),
+        instructions=500,
+    )
+    assert [job.instructions for job in traced.expand()] == [500, 500]
+
+
 # -- mixes and expansion ------------------------------------------------------
 def test_mixes_for_order_and_content():
     spec = _spec(
@@ -104,6 +128,44 @@ def test_expand_is_deterministic_and_ordered():
     # 2 cores x 2 seeds x 2 mixes x 2 variants
     assert len(a) == 16
     assert len({j.key for j in a}) == 16
+
+
+def test_expand_is_memoized_per_environment(monkeypatch):
+    """The grid is hashed once per spec; a change to an environment knob
+    expand() reads yields the freshly expanded grid."""
+    import repro.campaign.spec as spec_module
+
+    hashed = []
+    real_job_key = spec_module.job_key
+
+    def counting_job_key(*args):
+        hashed.append(args)
+        return real_job_key(*args)
+
+    monkeypatch.setattr(spec_module, "job_key", counting_job_key)
+    monkeypatch.delenv("REPRO_SCALE", raising=False)
+    monkeypatch.delenv("REPRO_WORKLOADS", raising=False)
+    spec = _spec(instructions=None, mix_count=None)
+    first = spec.expand()
+    assert len(hashed) == len(first)
+    second = spec.expand()
+    assert len(hashed) == len(first)  # no new job_key hashing
+    assert second == first
+    assert second is not first  # callers may mutate their list
+    second.clear()
+    assert spec.expand() == first
+
+    monkeypatch.setenv("REPRO_SCALE", "0.5")
+    scaled = spec.expand()
+    assert scaled == _spec(instructions=None, mix_count=None).expand()
+    assert {job.instructions for job in scaled} != {
+        job.instructions for job in first
+    }
+
+    monkeypatch.setenv("REPRO_WORKLOADS", "3")
+    more = spec.expand()
+    assert more == _spec(instructions=None, mix_count=None).expand()
+    assert len(more) == 3 * len(spec.variants)
 
 
 def test_job_keys_are_full_content_hashes():

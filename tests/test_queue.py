@@ -17,10 +17,13 @@ Time never sleeps in these tests: every queue gets an injected clock.
 
 from __future__ import annotations
 
+import math
 import threading
+from dataclasses import replace
 
 import pytest
 
+from repro.campaign import queue as queue_module
 from repro.campaign.queue import QUEUE_STATS, LeaseQueue
 from repro.campaign.spec import CampaignSpec, Variant
 from repro.campaign.store import ResultStore
@@ -97,32 +100,41 @@ def test_claims_are_disjoint_and_exhaustive(store):
 
 
 def test_concurrent_claimers_never_share_a_job(tmp_path):
-    """Racing claimers on separate connections split the grid cleanly."""
+    """Racing claimers on separate connections split the grid cleanly,
+    whether they claim one job at a time or whole (or bounded) batches."""
     spec = _spec(mix_count=4)  # 8 jobs
-    path = tmp_path / "race.sqlite"
-    with ResultStore(path) as st:
-        st.register(spec, spec.expand())
     keys = [job.key for job in spec.expand()]
-    claimed: list[list[str]] = [[], []]
-    barrier = threading.Barrier(2)
-
-    def worker(slot: int) -> None:
+    forms = {
+        "next": lambda queue: [
+            lease for lease in [queue.claim_next(keys)] if lease is not None
+        ],
+        "batch": lambda queue: queue.claim(keys),
+        "bounded": lambda queue: queue.claim(keys, 3),
+    }
+    for form, claim in forms.items():
+        path = tmp_path / f"race-{form}.sqlite"
         with ResultStore(path) as st:
-            queue = LeaseQueue(st, spec.fingerprint(), worker_id=f"w{slot}")
-            barrier.wait()
-            while True:
-                lease = queue.claim_next(keys)
-                if lease is None:
-                    return
-                claimed[slot].append(lease.key)
+            st.register(spec, spec.expand())
+        claimed: list[list[str]] = [[], []]
+        barrier = threading.Barrier(2)
 
-    threads = [threading.Thread(target=worker, args=(i,)) for i in (0, 1)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert sorted(claimed[0] + claimed[1]) == sorted(keys)
-    assert not set(claimed[0]) & set(claimed[1])
+        def worker(slot: int) -> None:
+            with ResultStore(path) as st:
+                queue = LeaseQueue(st, spec.fingerprint(), worker_id=f"w{slot}")
+                barrier.wait()
+                while True:
+                    leases = claim(queue)
+                    if not leases:
+                        return
+                    claimed[slot].extend(lease.key for lease in leases)
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in (0, 1)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert sorted(claimed[0] + claimed[1]) == sorted(keys), form
+        assert not set(claimed[0]) & set(claimed[1]), form
 
 
 def test_heartbeat_extends_the_deadline(store):
@@ -227,3 +239,135 @@ def test_done_jobs_are_never_claimable(store, result):
     lease = queue.claim_next(_keys())
     assert queue.complete(lease, result)
     assert queue.claim_next([lease.key]) is None
+
+
+# -- batched claims -------------------------------------------------------------
+def _lease_seqs(store, keys):
+    return {
+        row["key"]: int(row["lease_seq"])
+        for row in store._conn.execute(
+            f"SELECT key, lease_seq FROM jobs WHERE key IN "
+            f"({','.join('?' * len(keys))})",
+            keys,
+        )
+    }
+
+
+def test_batched_claim_takes_exactly_the_runnable_keys_in_order(store, result):
+    clock = Clock()
+    fp = _spec().fingerprint()
+    keys = _keys()
+    other = LeaseQueue(store, fp, worker_id="other", clock=clock)
+    done = other.claim_next([keys[0]])
+    assert other.complete(done, result)
+    busy = other.claim_next([keys[2]])
+    queue = LeaseQueue(store, fp, worker_id="w", clock=clock)
+    # Done, live-leased, unregistered and repeated keys are all skipped.
+    leases = queue.claim(["not-a-job"] + keys + [keys[1]])
+    assert [lease.key for lease in leases] == [keys[1], keys[3]]
+    assert {lease.worker_id for lease in leases} == {"w"}
+    assert busy.key not in {lease.key for lease in leases}
+    assert queue.claim(keys) == []
+    assert store.leases_for(keys, now=clock.now)[keys[1]]["worker_id"] == "w"
+
+
+def test_batched_claim_stops_at_its_limit(store):
+    queue = LeaseQueue(store, _spec().fingerprint(), worker_id="w", clock=Clock())
+    keys = _keys()
+    assert [lease.key for lease in queue.claim(keys, 2)] == keys[:2]
+    assert [lease.key for lease in queue.claim(keys, 5)] == keys[2:]
+
+
+def test_batched_claim_reclaims_an_expired_lease(store):
+    clock = Clock()
+    fp = _spec().fingerprint()
+    keys = _keys()
+    dead = LeaseQueue(store, fp, worker_id="dead", lease_s=10.0, clock=clock)
+    lost = dead.claim_next(keys[1:2])
+    live = LeaseQueue(store, fp, worker_id="live", lease_s=10.0, clock=clock)
+    clock.advance(10.0)
+    before = dict(QUEUE_STATS)
+    leases = live.claim(keys)
+    assert [lease.key for lease in leases] == keys
+    assert QUEUE_STATS["leases_reclaimed"] == before["leases_reclaimed"] + 1
+    assert QUEUE_STATS["leases_expired"] == before["leases_expired"] + 1
+    assert QUEUE_STATS["leases_claimed"] == before["leases_claimed"] + len(keys)
+    assert store.reclaim_count(fp) == 1
+    regained = next(lease for lease in leases if lease.key == lost.key)
+    assert regained.attempt == lost.attempt + 1
+
+
+def test_batched_claim_bumps_every_fencing_token_once(store, result):
+    clock = Clock()
+    fp = _spec().fingerprint()
+    keys = _keys()
+    before = _lease_seqs(store, keys)
+    a = LeaseQueue(store, fp, worker_id="a", lease_s=10.0, clock=clock)
+    stale = a.claim(keys)
+    assert {lease.key: lease.attempt for lease in stale} == {
+        key: seq + 1 for key, seq in before.items()
+    }
+    assert _lease_seqs(store, keys) == {key: seq + 1 for key, seq in before.items()}
+    clock.advance(11.0)
+    b = LeaseQueue(store, fp, worker_id="b", lease_s=10.0, clock=clock)
+    fresh = b.claim(keys)
+    assert [lease.attempt for lease in fresh] == [
+        lease.attempt + 1 for lease in stale
+    ]
+    # The resurrected batch holder is fenced off; the reclaimer commits.
+    assert not a.complete(stale[0], result)
+    assert b.complete(fresh[0], result)
+    assert store.statuses([keys[0]]) == {keys[0]: "done"}
+
+
+def _bulk_store(path, count: int):
+    """A store holding ``count`` registered jobs with cheap synthetic keys
+    (the claim path reads keys and statuses only)."""
+    spec = _spec()
+    template = spec.expand()[0]
+    jobs = [replace(template, key=f"job{i:05d}") for i in range(count)]
+    store = ResultStore(path)
+    store.register(spec, jobs)
+    return store, [job.key for job in jobs]
+
+
+def _traced(store, fn):
+    """Run ``fn()`` and return (its value, the SQL statements it ran)."""
+    statements: list[str] = []
+    store._conn.set_trace_callback(statements.append)
+    try:
+        value = fn()
+    finally:
+        store._conn.set_trace_callback(None)
+    return value, statements
+
+
+def test_batched_claim_store_traffic_is_linear(tmp_path):
+    """One transaction and at most two SELECTs per chunk of keys: an
+    O(n^2) claim loop over the key list fails this without timing."""
+    store, keys = _bulk_store(tmp_path / "bulk.sqlite", 1000)
+    with store:
+        queue = LeaseQueue(store, _spec().fingerprint(), worker_id="w")
+        leases, statements = _traced(store, lambda: queue.claim(keys))
+        assert [lease.key for lease in leases] == keys
+        assert statements.count("BEGIN IMMEDIATE") == 1
+        assert statements.count("COMMIT") == 1
+        chunks = math.ceil(len(keys) / queue_module._CHUNK)
+        selects = [s for s in statements if s.lstrip().upper().startswith("SELECT")]
+        assert len(selects) <= 2 * chunks
+
+
+@pytest.mark.parametrize("count", [50, 2000])
+def test_claim_next_reads_a_bounded_number_of_rows(tmp_path, count):
+    """A one-job claim whose first key is runnable reads the same few
+    rows whatever the length of the key list."""
+    store, keys = _bulk_store(tmp_path / "bulk.sqlite", count)
+    with store:
+        queue = LeaseQueue(store, _spec().fingerprint(), worker_id="w")
+        lease, statements = _traced(store, lambda: queue.claim_next(keys))
+        assert lease.key == keys[0]
+        selects = [s for s in statements if s.lstrip().upper().startswith("SELECT")]
+        # Each key a SELECT names appears quoted in the expanded SQL.
+        keys_read = sum(s.count("'job") for s in selects)
+        assert len(selects) == 2
+        assert keys_read <= 2 * 16

@@ -16,6 +16,7 @@ The acceptance bar for the work-queue engine:
 
 from __future__ import annotations
 
+import sqlite3
 import threading
 import time
 
@@ -24,8 +25,10 @@ import pytest
 from repro.campaign.report import export_text
 from repro.campaign.spec import CampaignSpec, Variant
 from repro.campaign.store import ResultStore
+from repro.campaign.watch import merged_metrics
 from repro.campaign.worker import drain_campaign
 from repro.guard.chaos import ChaosPlan
+from repro.obs.metrics import job_metrics
 
 
 def _spec(**overrides) -> CampaignSpec:
@@ -161,3 +164,56 @@ def test_frozen_worker_is_fenced_and_peer_wins(tmp_path):
             assert export_text(spec, store, fmt="csv") == export_text(
                 spec, gstore, fmt="csv"
             )
+
+
+def _sim_totals(spec, store) -> tuple[dict, dict]:
+    """(merged ``sim.*`` counters, the same counters summed straight from
+    the stored results): equal when every done job has its blob."""
+    expected: dict[str, int] = {}
+    for result in store.results_for(job.key for job in spec.expand()).values():
+        for name, value in job_metrics(result).items():
+            expected[name] = expected.get(name, 0) + value
+    merged = {
+        name: value
+        for name, value in merged_metrics(spec, store).snapshot()["counters"].items()
+        if name.startswith("sim.")
+    }
+    return merged, expected
+
+
+def test_done_progress_row_commits_with_the_result(tmp_path, golden):
+    """The ``done`` progress row carrying a job's ``sim.*`` blob lands in
+    the fenced completion transaction: if its upsert fails, the job is
+    not done, and a later drain reclaims and re-runs it."""
+    spec = _spec()
+    keys = [job.key for job in spec.expand()]
+    with ResultStore(tmp_path / "atomic.sqlite") as store:
+        store._conn.execute(
+            "CREATE TEMP TRIGGER fail_done BEFORE INSERT ON main.progress "
+            "WHEN NEW.status = 'done' "
+            "BEGIN SELECT RAISE(ABORT, 'injected progress failure'); END"
+        )
+        with pytest.raises(sqlite3.IntegrityError, match="injected"):
+            drain_campaign(spec, store, worker_id="crashed")
+        assert "done" not in store.statuses(keys).values()
+        held = store.leases_for(keys)
+        assert [lease["worker_id"] for lease in held.values()] == ["crashed"]
+        store._conn.execute("DROP TRIGGER fail_done")
+        # A peer arriving after the dead worker's lease expired re-runs it.
+        stats = drain_campaign(
+            spec, store, worker_id="peer", clock=lambda: time.time() + 3600
+        )
+        assert (stats.reclaimed, stats.completed) == (1, len(keys))
+        merged, expected = _sim_totals(spec, store)
+        assert merged == expected and merged
+        assert export_text(spec, store, fmt="csv") == golden
+
+
+def test_pool_drain_claims_in_one_batch_and_merges_sim_totals(tmp_path, golden):
+    spec = _spec()
+    with ResultStore(tmp_path / "pool.sqlite") as store:
+        stats = drain_campaign(spec, store, worker_id="pool", jobs=2)
+        assert (stats.claimed, stats.completed) == (4, 4)
+        merged, expected = _sim_totals(spec, store)
+        assert merged == expected and merged
+        assert export_text(spec, store, fmt="csv") == golden
