@@ -26,22 +26,35 @@ Package layout:
 * :mod:`repro.experiments` — drivers reproducing every table and figure.
 """
 
-from .config import CoreConfig, DramConfig, SystemConfig, baseline_system
-from .core import OPPORTUNISTIC, ParBsScheduler
-from .metrics import WorkloadResult, geomean, unfairness
-from .schedulers import FcfsScheduler, FrFcfsScheduler, NfqScheduler, StfmScheduler
-from .sim import SCHEDULER_NAMES, ExperimentRunner, System, make_scheduler
-from .workloads import (
-    CASE_STUDY_1,
-    CASE_STUDY_2,
-    CASE_STUDY_3,
-    EIGHT_CORE_MIX,
-    FIG8_SAMPLE_MIXES,
-    SIXTEEN_CORE_MIXES,
-    PROFILES,
-    generate_trace,
-    profile,
-    random_mixes,
+from ._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".config": ("CoreConfig", "DramConfig", "SystemConfig", "baseline_system"),
+        ".core.batcher": ("OPPORTUNISTIC",),
+        ".core.parbs": ("ParBsScheduler",),
+        ".metrics.fairness": ("unfairness",),
+        ".metrics.summary": ("WorkloadResult", "geomean"),
+        ".schedulers.fcfs": ("FcfsScheduler",),
+        ".schedulers.frfcfs": ("FrFcfsScheduler",),
+        ".schedulers.nfq": ("NfqScheduler",),
+        ".schedulers.stfm": ("StfmScheduler",),
+        ".sim.factory": ("SCHEDULER_NAMES", "make_scheduler"),
+        ".sim.runner": ("ExperimentRunner",),
+        ".sim.system": ("System",),
+        ".workloads.generator": ("generate_trace",),
+        ".workloads.mixes": (
+            "CASE_STUDY_1",
+            "CASE_STUDY_2",
+            "CASE_STUDY_3",
+            "EIGHT_CORE_MIX",
+            "FIG8_SAMPLE_MIXES",
+            "SIXTEEN_CORE_MIXES",
+            "random_mixes",
+        ),
+        ".workloads.profiles": ("PROFILES", "profile"),
+    },
 )
 
 __version__ = "1.0.0"

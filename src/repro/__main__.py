@@ -22,24 +22,18 @@ import logging
 import os
 import sys
 
-from .config import baseline_system
 from .envknobs import EnvKnobError
 from .events import SimulationStalled
-from .guard import InvariantViolation
-from .experiments.ablations import (
-    batching_choice_sweep,
-    marking_cap_sweep,
-    ranking_scheme_sweep,
-)
-from .experiments.abstract_fig3 import run_fig3
-from .experiments.aggregate import run_aggregate
-from .experiments.case_studies import CASE_STUDIES, run_case_study
-from .experiments.characterization import run_characterization
-from .experiments.priorities import run_opportunistic, run_weighted_lbm
-from .experiments.summary import run_table4
-from .sim.runner import ExperimentRunner
+from .guard.invariants import InvariantViolation
 from .workloads.mixes import UnknownMixError
 
+# Each subcommand imports the experiment drivers, the runner and the
+# campaign layers it runs inside its own handler, so a step that only
+# reads the result store never loads the simulator.
+
+# Short alias -> case-study name.  The names are the keys of
+# ``repro.experiments.case_studies.CASE_STUDIES``, kept here so that
+# building the parser does not import the runner.
 _CASE_ALIASES = {
     "fig5": "fig5_case_study_1",
     "fig6": "fig6_case_study_2",
@@ -148,7 +142,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("priorities", help="Figure 14: thread priorities")
 
     case = sub.add_parser("case-study", help="Figures 5/6/7/9")
-    case.add_argument("name", choices=sorted(_CASE_ALIASES) + sorted(CASE_STUDIES))
+    case.add_argument(
+        "name", choices=sorted(_CASE_ALIASES) + sorted(_CASE_ALIASES.values())
+    )
 
     agg = sub.add_parser("aggregate", help="Figures 8/10: workload averages")
     agg.add_argument("--cores", type=int, default=4, choices=(4, 8, 16))
@@ -452,21 +448,31 @@ def _dispatch(args: argparse.Namespace, instructions: int | None) -> int:
         print(_EXPERIMENTS)
         return 0
     if args.command == "fig3":
+        from .experiments.abstract_fig3 import run_fig3
+
         print(run_fig3().report())
         return 0
     if args.command == "characterize":
+        from .experiments.characterization import run_characterization
+
         print(run_characterization(instructions=instructions).report())
         return 0
     if args.command == "priorities":
+        from .experiments.priorities import run_opportunistic, run_weighted_lbm
+
         print(run_weighted_lbm(instructions=instructions).report())
         print()
         print(run_opportunistic(instructions=instructions).report())
         return 0
     if args.command == "case-study":
+        from .experiments.case_studies import run_case_study
+
         name = _CASE_ALIASES.get(args.name, args.name)
         print(run_case_study(name, instructions=instructions).report())
         return 0
     if args.command == "aggregate":
+        from .experiments.aggregate import run_aggregate
+
         result = run_aggregate(
             args.cores,
             count=args.count,
@@ -476,12 +482,22 @@ def _dispatch(args: argparse.Namespace, instructions: int | None) -> int:
         print(result.report())
         return 0
     if args.command == "table4":
+        from .experiments.summary import run_table4
+
         counts = None
         if args.count is not None:
             counts = {4: args.count, 8: args.count, 16: args.count}
         print(run_table4(counts=counts, instructions=instructions).report())
         return 0
     if args.command == "sweep":
+        from .config import baseline_system
+        from .experiments.ablations import (
+            batching_choice_sweep,
+            marking_cap_sweep,
+            ranking_scheme_sweep,
+        )
+        from .sim.runner import ExperimentRunner
+
         runner = ExperimentRunner(baseline_system(4), instructions=instructions)
         if args.kind == "marking-cap":
             result = marking_cap_sweep(count=args.count, runner=runner)
@@ -512,14 +528,8 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _dispatch_campaign(args: argparse.Namespace, instructions: int | None) -> int:
-    from .campaign import (
-        ResultStore,
-        campaign_report,
-        export_text,
-        load_spec,
-        run_campaign,
-        status_report,
-    )
+    from .campaign.spec import load_spec
+    from .campaign.store import ResultStore
 
     if args.action == "status" and args.spec is None:
         with ResultStore(args.db) as store:
@@ -543,7 +553,7 @@ def _dispatch_campaign(args: argparse.Namespace, instructions: int | None) -> in
     if instructions is not None:
         # --instructions overrides the spec file's value (same precedence
         # as every other subcommand).
-        from .campaign import spec_from_dict
+        from .campaign.spec import spec_from_dict
 
         spec = spec_from_dict({**spec.to_dict(), "instructions": instructions})
 
@@ -551,6 +561,8 @@ def _dispatch_campaign(args: argparse.Namespace, instructions: int | None) -> in
         if args.dry_run:
             print(spec.describe())
             return 0
+        from .campaign.orchestrator import run_campaign
+
         chaos = None
         if args.chaos is not None:
             from .guard.chaos import ChaosPlan
@@ -593,6 +605,8 @@ def _dispatch_campaign(args: argparse.Namespace, instructions: int | None) -> in
         return 1 if stats.failed else 0
     if args.action == "watch":
         return _campaign_watch(spec, args)
+    from .campaign.report import campaign_report, export_text, status_report
+
     with ResultStore(args.db) as store:
         if args.action == "status":
             print(status_report(spec, store))
@@ -613,7 +627,9 @@ def _campaign_work(args: argparse.Namespace) -> int:
     from a file or — for workers that only have the store — from the
     registered campaign row via ``--fingerprint``.
     """
-    from .campaign import ResultStore, drain_campaign, load_spec
+    from .campaign.spec import load_spec
+    from .campaign.store import ResultStore
+    from .campaign.worker import drain_campaign
 
     if (args.spec is None) == (args.fingerprint is None):
         print(
@@ -771,6 +787,8 @@ def _dispatch_trace(args: argparse.Namespace, instructions: int | None) -> int:
             print(f"{name}: {path}")
         return 0
     if args.action == "run":
+        from .config import baseline_system
+        from .sim.runner import ExperimentRunner
         from .workloads.mixes import get_mix
 
         if args.mix and args.threads:

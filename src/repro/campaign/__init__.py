@@ -34,15 +34,27 @@ campaigns under the hood, so every figure pipeline is restartable and
 queryable.
 """
 
-from .manifest import MANIFEST_VERSION, build_manifest
-from .orchestrator import RunStats, run_and_collect, run_campaign
-from .queue import QUEUE_STATS, Lease, LeaseQueue
-from .report import campaign_report, export_rows, export_text, status_report
-from .serde import result_from_dict, result_from_json, result_to_dict, result_to_json
-from .spec import CampaignJob, CampaignSpec, Variant, load_spec, spec_from_dict
-from .store import SCHEMA_VERSION, STORE_STATS, ResultStore, default_db_path
-from .watch import merged_metrics, watch_counts, watch_report
-from .worker import LeaseLost, WorkerStats, drain_campaign
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".manifest": ("MANIFEST_VERSION", "build_manifest"),
+        ".orchestrator": ("RunStats", "run_and_collect", "run_campaign"),
+        ".queue": ("QUEUE_STATS", "Lease", "LeaseQueue"),
+        ".report": ("campaign_report", "export_rows", "export_text", "status_report"),
+        ".serde": (
+            "result_from_dict",
+            "result_from_json",
+            "result_to_dict",
+            "result_to_json",
+        ),
+        ".spec": ("CampaignJob", "CampaignSpec", "Variant", "load_spec", "spec_from_dict"),
+        ".store": ("SCHEMA_VERSION", "STORE_STATS", "ResultStore", "default_db_path"),
+        ".watch": ("merged_metrics", "watch_counts", "watch_report"),
+        ".worker": ("LeaseLost", "WorkerStats", "drain_campaign"),
+    },
+)
 
 __all__ = [
     "CampaignJob",

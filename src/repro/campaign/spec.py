@@ -55,11 +55,16 @@ leaves stored results resumable, while any content change re-simulates.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
-from ..config import SystemConfig, baseline_system
+from ..config import (
+    SystemConfig,
+    baseline_system,
+    default_instructions,
+    default_workload_count,
+)
 from ..sim.diskcache import SIM_FINGERPRINT, content_key
 from ..sim.factory import make_scheduler
 from ..workloads.generator import MIN_INSTRUCTIONS
@@ -150,7 +155,7 @@ class CampaignJob:
 
 
 def job_key(
-    config: SystemConfig,
+    config: SystemConfig | Mapping[str, Any],
     workload: Iterable[str],
     scheduler: str,
     kwargs: Mapping[str, Any] | Iterable[tuple[str, Any]],
@@ -161,7 +166,9 @@ def job_key(
 
     Hashes exactly the fields :meth:`repro.sim.runner.ExperimentRunner._job_key`
     hashes — a simulation's identity is the same whether it is named by
-    the runner, the pool or the campaign store.
+    the runner, the pool or the campaign store.  ``config`` may come
+    already flattened by ``dataclasses.asdict``: :func:`content_key`
+    flattens it that way, so the key is the same.
     """
     return content_key(
         [
@@ -287,6 +294,9 @@ class CampaignSpec:
         entries: Iterable[tuple[str, str, str]],
     ) -> tuple[tuple[str, str, str], ...]:
         """Fill in (and verify) content hashes for the trace-file table."""
+        entries = tuple(entries)
+        if not entries:
+            return ()
         from ..traces.source import trace_content_sha256
 
         resolved = []
@@ -364,9 +374,6 @@ class CampaignSpec:
                 out.extend(list(m) for m in SIXTEEN_CORE_MIXES.values())
         out.extend(list(m) for m in self.mixes if len(m) == cores)
         if self.mix_count != 0:
-            # Local import: aggregate.py imports this module back.
-            from ..experiments.aggregate import default_workload_count
-
             count = (
                 self.mix_count
                 if self.mix_count is not None
@@ -429,8 +436,6 @@ class CampaignSpec:
         return content_key([data, self.resolved_instructions()])
 
     def resolved_instructions(self) -> int:
-        from ..sim.runner import default_instructions
-
         return self.instructions or default_instructions()
 
     # -- expansion -----------------------------------------------------------
@@ -440,8 +445,6 @@ class CampaignSpec:
         None, the per-core-count mix counts (``REPRO_WORKLOADS``)."""
         if self.mix_count is not None:
             return (self.resolved_instructions(),)
-        from ..experiments.aggregate import default_workload_count
-
         return (
             self.resolved_instructions(),
             tuple(default_workload_count(cores) for cores in self.num_cores),
@@ -468,7 +471,8 @@ class CampaignSpec:
         carried = tuple((alias, path) for alias, path, _sha in self.trace_files)
         jobs: list[CampaignJob] = []
         for cores in self.num_cores:
-            config = baseline_system(cores)
+            # Flattened once here instead of once per job in content_key.
+            config = asdict(baseline_system(cores))
             mixes = self.mixes_for(cores)
             for seed in self.seeds:
                 for mix_index, mix in enumerate(mixes):

@@ -419,6 +419,7 @@ class _Drain:
                         continue
                     self._run_leased(lease)
                 return
+            pool.preload_simulator()
             executor = ProcessPoolExecutor(
                 max_workers=min(self.jobs, len(remaining))
             )

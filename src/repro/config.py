@@ -5,6 +5,10 @@ instruction window, 3-wide fetch/commit, 32 MSHRs, an FR-FCFS DDR2-800
 memory controller with a 128-entry request buffer and 64-entry write
 buffer, 8 banks per channel with 2 KB row buffers, and DRAM channels scaled
 with the core count (1/2/4 channels for 4/8/16 cores).
+
+It also holds the experiment-scale defaults (instructions per thread,
+random mixes per system size), which the campaign layer resolves without
+loading the simulator.
 """
 
 from __future__ import annotations
@@ -13,8 +17,18 @@ from dataclasses import dataclass, field, replace
 
 from .dram.address import AddressMapping
 from .dram.timing import DramTiming, ddr2_800
+from .envknobs import read_float, read_optional_int
 
-__all__ = ["CoreConfig", "DramConfig", "SystemConfig", "baseline_system"]
+__all__ = [
+    "CoreConfig",
+    "DramConfig",
+    "SystemConfig",
+    "baseline_system",
+    "default_instructions",
+    "default_workload_count",
+]
+
+_DEFAULT_INSTRUCTIONS = 300_000
 
 
 @dataclass(frozen=True)
@@ -85,3 +99,17 @@ def baseline_system(num_cores: int = 4) -> SystemConfig:
     4, 8, 16 cores.
     """
     return SystemConfig(num_cores=num_cores).scaled_channels()
+
+
+def default_instructions() -> int:
+    """Per-thread instruction-slice length, honouring ``REPRO_SCALE``."""
+    scale = read_float("REPRO_SCALE", 1.0)
+    return max(10_000, int(_DEFAULT_INSTRUCTIONS * scale))
+
+
+def default_workload_count(num_cores: int) -> int:
+    """Number of random mixes per system size (paper: 100 / 16 / 12)."""
+    env = read_optional_int("REPRO_WORKLOADS", floor=1)
+    if env is not None:
+        return env
+    return {4: 12, 8: 6, 16: 4}.get(num_cores, 8)

@@ -1,24 +1,31 @@
 """The paper's core contribution: Parallelism-Aware Batch Scheduling."""
 
-from .abstract_model import AbstractBatch, AbstractRequest, ScheduleResult
-from .batcher import (
-    OPPORTUNISTIC,
-    AdaptiveCapBatcher,
-    Batcher,
-    EslotBatcher,
-    FullBatcher,
-    StaticBatcher,
-)
-from .hardware import HardwareCost, hardware_cost
-from .parbs import ParBsScheduler
-from .ranking import (
-    MaxTotalRanking,
-    RandomRanking,
-    RoundRobinRanking,
-    ThreadRanking,
-    TotalMaxRanking,
-    batch_loads,
-    make_ranking,
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".abstract_model": ("AbstractBatch", "AbstractRequest", "ScheduleResult"),
+        ".batcher": (
+            "OPPORTUNISTIC",
+            "AdaptiveCapBatcher",
+            "Batcher",
+            "EslotBatcher",
+            "FullBatcher",
+            "StaticBatcher",
+        ),
+        ".hardware": ("HardwareCost", "hardware_cost"),
+        ".parbs": ("ParBsScheduler",),
+        ".ranking": (
+            "MaxTotalRanking",
+            "RandomRanking",
+            "RoundRobinRanking",
+            "ThreadRanking",
+            "TotalMaxRanking",
+            "batch_loads",
+            "make_ranking",
+        ),
+    },
 )
 
 __all__ = [

@@ -1,6 +1,13 @@
 """Trace-driven processor core models."""
 
-from .core import Core, CoreSnapshot, MemoryPort
-from .trace import Trace, TraceEntry
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".core": ("Core", "CoreSnapshot", "MemoryPort"),
+        ".trace": ("Trace", "TraceEntry"),
+    },
+)
 
 __all__ = ["Core", "CoreSnapshot", "MemoryPort", "Trace", "TraceEntry"]

@@ -1,12 +1,19 @@
 """DRAM substrate: timing, banks, buses, channels and the memory controller."""
 
-from .address import AddressMapping, DramCoordinates
-from .bank import AccessOutcome, Bank
-from .bus import DataBus
-from .channel import Channel
-from .controller import MemoryController, ThreadMemStats
-from .request import MemoryRequest, RequestType
-from .timing import DramTiming, ddr2_800
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".address": ("AddressMapping", "DramCoordinates"),
+        ".bank": ("AccessOutcome", "Bank"),
+        ".bus": ("DataBus",),
+        ".channel": ("Channel",),
+        ".controller": ("MemoryController", "ThreadMemStats"),
+        ".request": ("MemoryRequest", "RequestType"),
+        ".timing": ("DramTiming", "ddr2_800"),
+    },
+)
 
 __all__ = [
     "AddressMapping",

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..config import baseline_system
-from ..envknobs import read_optional_int
+from ..config import baseline_system, default_workload_count
 from ..metrics.summary import WorkloadResult, geomean
 from ..sim.runner import ExperimentRunner
 from ..workloads.mixes import FIG8_SAMPLE_MIXES, SIXTEEN_CORE_MIXES, random_mixes
@@ -26,14 +25,6 @@ __all__ = [
     "run_aggregate",
     "default_workload_count",
 ]
-
-
-def default_workload_count(num_cores: int) -> int:
-    """Number of random mixes per system size (paper: 100 / 16 / 12)."""
-    env = read_optional_int("REPRO_WORKLOADS", floor=1)
-    if env is not None:
-        return env
-    return {4: 12, 8: 6, 16: 4}.get(num_cores, 8)
 
 
 @dataclass

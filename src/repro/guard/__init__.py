@@ -29,9 +29,16 @@ runs with guards compiled out.
 
 from __future__ import annotations
 
-from ..events import SimulationStalled
-from .chaos import ChaosInjectedError, ChaosPlan, chaos_from_env
-from .invariants import GUARD_MODES, Guard, InvariantViolation, guard_from_env
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "..events": ("SimulationStalled",),
+        ".chaos": ("ChaosInjectedError", "ChaosPlan", "chaos_from_env"),
+        ".invariants": ("GUARD_MODES", "Guard", "InvariantViolation", "guard_from_env"),
+    },
+)
 
 __all__ = [
     "GUARD_MODES",

@@ -1,8 +1,15 @@
 """Evaluation metrics: fairness, throughput, and result records."""
 
-from .fairness import memory_slowdown, unfairness
-from .speedup import hmean_speedup, weighted_speedup
-from .summary import ThreadResult, WorkloadResult, geomean
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".fairness": ("memory_slowdown", "unfairness"),
+        ".speedup": ("hmean_speedup", "weighted_speedup"),
+        ".summary": ("ThreadResult", "WorkloadResult", "geomean"),
+    },
+)
 
 __all__ = [
     "memory_slowdown",

@@ -1,10 +1,17 @@
 """Baseline DRAM scheduling policies the paper compares against."""
 
-from .base import BankKey, Scheduler
-from .fcfs import FcfsScheduler
-from .frfcfs import FrFcfsScheduler
-from .nfq import NfqScheduler
-from .stfm import StfmScheduler
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".base": ("BankKey", "Scheduler"),
+        ".fcfs": ("FcfsScheduler",),
+        ".frfcfs": ("FrFcfsScheduler",),
+        ".nfq": ("NfqScheduler",),
+        ".stfm": ("StfmScheduler",),
+    },
+)
 
 __all__ = [
     "BankKey",

@@ -1,9 +1,17 @@
 """System assembly and experiment running."""
 
-from .factory import SCHEDULER_NAMES, make_scheduler
-from .runner import AloneStats, ExperimentRunner, default_instructions
-from .system import DramPort, System
-from .verify import BACKENDS, BackendMismatch, backend_from_env
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "..config": ("default_instructions",),
+        ".factory": ("SCHEDULER_NAMES", "make_scheduler"),
+        ".runner": ("AloneStats", "ExperimentRunner"),
+        ".system": ("DramPort", "System"),
+        ".verify": ("BACKENDS", "BackendMismatch", "backend_from_env"),
+    },
+)
 
 __all__ = [
     "SCHEDULER_NAMES",

@@ -40,6 +40,7 @@ from ..envknobs import read_int, read_optional_float
 from ..guard.chaos import ChaosInjectedError, chaos_from_env
 from ..obs.config import TraceConfig
 from .diskcache import GLOBAL_STATS, content_key
+from .verify import backend_from_env
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..metrics.summary import WorkloadResult
@@ -202,6 +203,19 @@ def sim_progress(callback):
         _system.PROGRESS_HOOK = previous
 
 
+def preload_simulator(backend: str | None = None) -> None:
+    """Import the simulator in a process about to fork a worker pool.
+
+    Forked workers inherit every module loaded before the fork; without
+    this, each worker would import the runner (and, on the fast and
+    verify backends, the fast kernel) again on its first job.
+    """
+    from . import runner  # noqa: F401
+
+    if (backend or backend_from_env()) != "python":
+        from ..dram import fastctl  # noqa: F401
+
+
 def run_job(job: SimJob) -> "WorkloadResult":
     """Execute one job (also the in-process serial fallback path)."""
     chaos = chaos_from_env()
@@ -344,6 +358,7 @@ def _pool_pass(
     lost when the pool dies); a broken pool or a no-progress window
     raises :class:`_PoolIncident` after terminating every worker.
     """
+    preload_simulator(jobs[indexes[0]].backend)
     pool = ProcessPoolExecutor(max_workers=min(workers, len(indexes)))
     try:
         futures = {pool.submit(run_job, jobs[i]): i for i in indexes}

@@ -28,9 +28,8 @@ from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Any, Sequence
 
-from ..config import SystemConfig, baseline_system
+from ..config import SystemConfig, baseline_system, default_instructions
 from ..cpu.trace import Trace, TraceEntry, TraceIngestStats
-from ..envknobs import read_float
 from ..guard import guard_from_env
 from ..metrics.summary import ThreadResult, WorkloadResult
 from ..obs import JsonlSink, Telemetry, TraceConfig, Tracer
@@ -57,14 +56,6 @@ TRACE_PREFIX = "trace:"
 # Sentinel distinguishing "not passed" (resolve from the environment)
 # from an explicit ``cache_dir=None`` (disable the on-disk cache).
 _DEFAULT_CACHE = object()
-
-_DEFAULT_INSTRUCTIONS = 300_000
-
-
-def default_instructions() -> int:
-    """Per-thread instruction-slice length, honouring ``REPRO_SCALE``."""
-    scale = read_float("REPRO_SCALE", 1.0)
-    return max(10_000, int(_DEFAULT_INSTRUCTIONS * scale))
 
 
 @dataclass(frozen=True)

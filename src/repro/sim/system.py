@@ -203,7 +203,7 @@ class System:
             self.cores.append(core)
         if backend == "fast":
             # Traces are fixed before the run: decode every address once,
-            # vectorized, so the run itself never misses the decode memo.
+            # so the run itself never misses the decode memo.
             self.controller.predecode(
                 {entry.address for trace in traces for entry in trace.entries}
             )

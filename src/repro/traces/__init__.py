@@ -22,25 +22,32 @@ on *external* traces:
 
 from __future__ import annotations
 
-from .decoder import DECODER_PRESETS, AddressDecoder, DecodedAddress, parse_decoder
-from .formats import (
-    IngestStats,
-    TraceFormatError,
-    TraceRecord,
-    detect_format,
-    open_trace,
-    parse_k6_line,
-    parse_mase_line,
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".decoder": ("DECODER_PRESETS", "AddressDecoder", "DecodedAddress", "parse_decoder"),
+        ".formats": (
+            "IngestStats",
+            "TraceFormatError",
+            "TraceRecord",
+            "detect_format",
+            "open_trace",
+            "parse_k6_line",
+            "parse_mase_line",
+        ),
+        ".library": (
+            "SAMPLE_TRACES",
+            "SampleTrace",
+            "ensure_sample_trace",
+            "sample_trace_path",
+            "synthesize_trace_lines",
+            "trace_dir",
+        ),
+        ".source": ("TraceFileRef", "TraceRequestSource", "trace_content_sha256"),
+    },
 )
-from .library import (
-    SAMPLE_TRACES,
-    SampleTrace,
-    ensure_sample_trace,
-    sample_trace_path,
-    synthesize_trace_lines,
-    trace_dir,
-)
-from .source import TraceFileRef, TraceRequestSource, trace_content_sha256
 
 __all__ = [
     "AddressDecoder",

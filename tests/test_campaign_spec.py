@@ -175,6 +175,51 @@ def test_job_keys_are_full_content_hashes():
         int(job.key, 16)  # hex
 
 
+def test_expanded_keys_equal_content_key_of_payloads():
+    """Expansion flattens each core count's config once; every key must
+    still be the content hash of the payload with the config dataclass
+    itself, since keys are the store's primary keys."""
+    from repro.sim.diskcache import SIM_FINGERPRINT, content_key
+    from repro.traces.library import SAMPLE_TRACES
+
+    spec = _spec(
+        variants=(
+            Variant("FCFS", "FCFS"),
+            Variant("c=5", "PAR-BS", (("marking_cap", 5),)),
+        ),
+        num_cores=(1, 4, 16),
+        seeds=(0, 1),
+        mix_count=0,
+        mixes=(
+            ("trace:stream-hi",),
+            ("mcf",),
+            ("trace:stream-hi", "mcf", "trace:chase-lo", "hmmer"),
+            ("trace:chase-lo", "lbm", "milc", "gcc") * 4,
+        ),
+    )
+    jobs = spec.expand()
+    assert {job.num_cores for job in jobs} == {1, 4, 16}
+    assert any(b.startswith("trace:") for job in jobs for b in job.workload)
+    for job in jobs:
+        workload = [
+            f"trace:{SAMPLE_TRACES[b[6:]].sha256}:dramsim2"
+            if b.startswith("trace:")
+            else b
+            for b in job.workload
+        ]
+        assert job.key == content_key(
+            [
+                SIM_FINGERPRINT,
+                baseline_system(job.num_cores),
+                workload,
+                job.scheduler,
+                sorted(job.kwargs),
+                job.instructions,
+                job.seed,
+            ]
+        )
+
+
 def test_job_key_matches_runner_job_key():
     """The campaign and the runner must name the same simulation
     identically (the runner truncates its key for trace filenames), or

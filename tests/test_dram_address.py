@@ -1,10 +1,17 @@
 """Unit and property tests for the address mapping."""
 
+import dataclasses
+from functools import lru_cache
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.config import baseline_system
 from repro.dram.address import CACHE_LINE_BYTES, AddressMapping
+from repro.dram.fastctl import FastMemoryController
+from repro.events import EventQueue
+from repro.sim.factory import make_scheduler
 
 
 def test_columns_per_row():
@@ -109,3 +116,31 @@ def test_distinct_lines_map_to_distinct_coordinates(line):
         b.row,
         b.column,
     )
+
+
+@lru_cache(maxsize=None)
+def _decode_controller(channels: int) -> FastMemoryController:
+    config = baseline_system(4)
+    dram = dataclasses.replace(config.dram, num_channels=channels)
+    return FastMemoryController(
+        EventQueue(), dram, make_scheduler("FR-FCFS", 4), num_threads=4
+    )
+
+
+@pytest.mark.parametrize("xor", [False, True])
+@pytest.mark.parametrize("channels", [1, 2])
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=2**40), max_size=64))
+def test_predecode_matches_address_mapping(channels, xor, addresses):
+    """The decode memo ``predecode`` fills is the only decode the fast
+    backend uses on a predecoded run: every entry must equal
+    ``AddressMapping.map``."""
+    mapping = AddressMapping(num_channels=channels, xor_bank_hash=xor)
+    controller = _decode_controller(channels)
+    controller.install_mapping(mapping)  # also empties the memo
+    controller.predecode(addresses)
+    expected = {}
+    for address in addresses:
+        coords = mapping.map(address)
+        expected[address] = (coords.channel, coords.bank, coords.row)
+    assert controller._coords == expected
