@@ -4,9 +4,12 @@
 The controller's arbitration interface (:class:`repro.schedulers.Scheduler`)
 is three hooks and one ``select``: anything expressible as a priority over
 the per-bank candidate list can be evaluated against the paper's policies
-in a few lines.  This example implements *thread round-robin* — banks take
-requests from threads in rotating order — and compares it with FR-FCFS and
-PAR-BS on a mixed workload.
+in a few lines.  A policy with only ``select`` is scanned on both backends;
+the built-in policies add a packed ``pack_key`` for the fast backend.
+
+This example implements *thread round-robin* — banks take requests from
+threads in rotating order — and compares it with FR-FCFS and PAR-BS on a
+mixed workload.
 
 It also demonstrates composing the batching framework with a custom
 within-batch policy, the "batching is orthogonal" claim of the paper.

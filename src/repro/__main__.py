@@ -95,10 +95,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "--backend",
         choices=("python", "fast", "verify"),
         default=None,
-        help="simulation backend: 'fast' swaps in the flat-array timing "
-        "kernel (bit-identical results, several times faster), 'verify' "
-        "runs python and fast side by side and asserts bit-for-bit "
-        "agreement (exports REPRO_BACKEND)",
+        help="simulation backend: 'fast' (default) runs the flat-array "
+        "timing kernel, 'python' the reference object model (bit-identical "
+        "results, several times slower), 'verify' runs python and fast "
+        "side by side and asserts bit-for-bit agreement (exports "
+        "REPRO_BACKEND)",
     )
     parser.add_argument(
         "-v",

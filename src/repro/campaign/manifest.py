@@ -61,7 +61,7 @@ def build_manifest(
     if environ is None:
         backend = backend_from_env()
     else:  # tests pass a mapping; mirror the knob's default
-        backend = (env.get("REPRO_BACKEND") or "python").strip().lower()
+        backend = (env.get("REPRO_BACKEND") or "fast").strip().lower()
     manifest = {
         "manifest_version": MANIFEST_VERSION,
         "campaign": spec.name,

@@ -104,26 +104,20 @@ class ParBsScheduler(Scheduler):
         if within_batch not in ("par", "frfcfs", "fcfs"):
             raise ValueError(f"unknown within-batch policy {within_batch!r}")
         self.within_batch = within_batch
-        # Incremental-index protocol: the scan key is (marked, priority,
-        # row_hit, [rank,] age), so marked+priority form the prefix that
-        # outranks row hits; the "fcfs" ablation ignores the row buffer
-        # entirely.  Keys stay valid between batch boundaries — marks and
-        # ranks change only when a batch forms, which bumps the epoch in
-        # ``_on_new_batch``.
-        self.index_prefix_len = 2
-        self.index_uses_row = within_batch != "fcfs"
-        self.index_key = (
-            self._index_key_ranked if within_batch == "par" else self._index_key_plain
-        )
-        # Packed twin for the fast backend's flat-array kernel: the same
-        # fields as ``index_key`` stacked above the 40 age bits — ranked:
-        # (not-marked | priority:21 | rank:31 | id:40), plain: (not-marked
-        # | priority:21 | id:40).  Rank values are thread positions or
-        # ``UNRANKED`` (2**30), so 31 bits hold them; priority levels top
-        # out at ``OPPORTUNISTIC`` (2**20).  The prefix (marked, priority)
-        # sits above the shift in both layouts.
+        # Packed-key protocol: the scan key is (marked, priority, row_hit,
+        # [rank,] age), so marked+priority form the prefix that outranks row
+        # hits; the "fcfs" ablation ignores the row buffer entirely.  Keys
+        # stay valid between batch boundaries — marks and ranks change only
+        # when a batch forms, which bumps the epoch in ``_on_new_batch``.
+        # The packed layouts stack the non-row fields above the 40 age
+        # bits — ranked: (not-marked | priority:21 | rank:31 | id:40),
+        # plain: (not-marked | priority:21 | id:40).  Rank values are
+        # thread positions or ``UNRANKED`` (2**30), so 31 bits hold them;
+        # priority levels top out at ``OPPORTUNISTIC`` (2**20).  The prefix
+        # (marked, priority) sits above the shift in both layouts.
         if any(level < 0 or level >= 1 << 21 for level in self.priorities.values()):
             raise ValueError("priority levels must be in [0, 2**21)")
+        self.index_uses_row = within_batch != "fcfs"
         if within_batch == "par":
             self.pack_key = self._pack_key_ranked
             self.pack_prefix_shift = 31 + 40
@@ -140,8 +134,8 @@ class ParBsScheduler(Scheduler):
             self.name = f"BS/{self.batcher.name}/{within_batch}"
         self._ranks: dict[int, int] = {}
         # Flat per-thread mirrors of the rank and priority tables: both sit
-        # on the index-key hot path (every enqueue, plus every buffered
-        # request on an index rebuild), where a list index beats a dict
+        # on the packed-key hot path (every enqueue, plus every buffered
+        # request on a key repack), where a list index beats a dict
         # ``get`` with a default.  Thread ids are dense by construction.
         self._rank_by_tid: list[int] = [UNRANKED] * num_threads
         self._prio_by_tid: list[int] = [
@@ -178,7 +172,7 @@ class ParBsScheduler(Scheduler):
 
     def _on_new_batch(self, marked: list[MemoryRequest], now: int = 0) -> None:
         # A batch boundary rewrites marks (and possibly ranks) across the
-        # whole buffer: every cached index key is stale.
+        # whole buffer: every cached packed key is stale.
         self.bump_index_epoch(now)
         if self.ranking is not None:
             # Per the paper's hardware sketch (Section 6), the Max-Total
@@ -225,23 +219,6 @@ class ParBsScheduler(Scheduler):
     # -- arbitration ----------------------------------------------------------------
     def rank_of(self, thread_id: int) -> int:
         return self._ranks.get(thread_id, UNRANKED)
-
-    def _index_key_ranked(self, request: MemoryRequest) -> tuple:
-        return (
-            not request.marked,
-            request.priority_level,
-            self._rank_by_tid[request.thread_id],
-            request.arrival_time,
-            request.request_id,
-        )
-
-    def _index_key_plain(self, request: MemoryRequest) -> tuple:
-        return (
-            not request.marked,
-            request.priority_level,
-            request.arrival_time,
-            request.request_id,
-        )
 
     def _pack_key_ranked(self, request: MemoryRequest) -> int:
         return (

@@ -12,16 +12,11 @@ here, common to every scheduler in the paper (Section 7.2):
 * one command-bus slot (one DRAM clock) separates issue decisions on a
   channel.
 
-Request buffers are stored as :mod:`incremental arbitration indexes
-<repro.dram.rqindex>` — row-bucketed with epoch-cached priority heaps — so
-an issue decision is a heap peek instead of an O(occupancy) scan.  Three
-arbitration modes exist (``arbitration=`` constructor argument):
-
-* ``"index"`` (default) — decisions answered from the index;
-* ``"scan"`` — the reference ``min()``-over-candidates path (also the
-  automatic fallback for schedulers without index support);
-* ``"verify"`` — both, asserting they agree at every decision (the golden
-  equivalence harness used by the test suite).
+Buffered reads are kept per bank in row buckets
+(:class:`~repro.dram.buffers.BankReads`), and every read decision is the
+scheduler's reference scan, :meth:`~repro.schedulers.base.Scheduler.select`,
+over the bank's candidates.  The fast backend
+(:mod:`repro.dram.fastctl`) answers the same decisions from packed keys.
 
 Per-thread statistics gathered here feed the paper's metrics: bank-level
 parallelism (BLP, the time-average number of banks concurrently servicing a
@@ -35,10 +30,10 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
-from ..events import EventQueue, SimulationError
+from ..events import EventQueue
+from .buffers import BankReads, WriteFifo
 from .channel import Channel
 from .request import MemoryRequest
-from .rqindex import BankReadIndex, WriteFifo
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..config import DramConfig
@@ -119,13 +114,10 @@ class MemoryController:
         config: "DramConfig",
         scheduler: "Scheduler",
         num_threads: int,
-        arbitration: str = "index",
         tracer: "Tracer | None" = None,
         telemetry: "Telemetry | None" = None,
         guard=None,
     ) -> None:
-        if arbitration not in ("index", "scan", "verify"):
-            raise ValueError(f"unknown arbitration mode {arbitration!r}")
         self.queue = queue
         # Robustness: runtime invariant checker (probe-or-None, like the
         # trace probes — ``--guard off`` leaves every hook site None).
@@ -153,16 +145,9 @@ class MemoryController:
             Channel(config.timing, config.num_banks, channel_id=c)
             for c in range(config.num_channels)
         ]
-        # Schedulers without index support (index_key is None) always use
-        # the scan path, whatever mode was requested.
-        if scheduler.index_key is None:
-            arbitration = "scan"
-        self.arbitration = arbitration
-        self._use_index = arbitration != "scan"
-        self._verify_index = arbitration == "verify"
         # Pending (not yet issued) requests per (channel, bank), split by
-        # type: row-bucketed heap indexes for reads, FIFOs for writes.
-        self._reads: dict[tuple[int, int], BankReadIndex] = {}
+        # type: row buckets for reads, FIFOs for writes.
+        self._reads: dict[tuple[int, int], BankReads] = {}
         self._writes: dict[tuple[int, int], WriteFifo] = {}
         self._write_occupancy = 0
         self._draining_writes = False
@@ -269,8 +254,8 @@ class MemoryController:
 
     def read_indexes(
         self,
-    ) -> Iterable[tuple[tuple[int, int], BankReadIndex]]:
-        """Per-bank read indexes with at least one buffered request."""
+    ) -> Iterable[tuple[tuple[int, int], BankReads]]:
+        """Per-bank read buffers with at least one buffered request."""
         return ((key, index) for key, index in self._reads.items() if index.size)
 
     def enqueue(self, request: MemoryRequest) -> None:
@@ -293,7 +278,7 @@ class MemoryController:
         if request.is_read:
             index = self._reads.get(key)
             if index is None:
-                index = self._reads[key] = BankReadIndex()
+                index = self._reads[key] = BankReads()
             index.add(request)
             self._reads_per_thread[request.thread_id] += 1
             self.read_occupancy += 1
@@ -301,11 +286,6 @@ class MemoryController:
                 self.peak_read_occupancy = self.read_occupancy
             self.total_reads += 1
             self.scheduler.on_enqueue(request, now)
-            # Index after the scheduler hooks ran: they stamp the priority
-            # fields (virtual finish time, marks, priority level) the key
-            # is built from.
-            if self._use_index:
-                index.push(request, self.scheduler)
         else:
             fifo = self._writes.get(key)
             if fifo is None:
@@ -362,7 +342,7 @@ class MemoryController:
         if busy_until > now:
             self._schedule_wake(key, busy_until)
             return
-        request = self._pick(key, now, bank)
+        request = self._pick(key, now)
         if request is None:
             return
         # Consume a command-bus slot; if the command bus pushes us into the
@@ -373,9 +353,7 @@ class MemoryController:
             return
         self._issue(request, key, now, channel, bank)
 
-    def _pick(
-        self, key: tuple[int, int], now: int, bank: "Bank"
-    ) -> MemoryRequest | None:
+    def _pick(self, key: tuple[int, int], now: int) -> MemoryRequest | None:
         if self._write_occupancy:
             writes = self._writes.get(key)
             has_writes = writes is not None and writes.size > 0
@@ -386,33 +364,10 @@ class MemoryController:
             has_writes = False
         index = self._reads.get(key)
         if index is not None and index.size > 0:
-            if self._use_index:
-                request = self.scheduler.select_indexed(
-                    index, key, now, bank.open_row
-                )
-                if self._verify_index:
-                    self._verify_pick(index, key, now, request)
-                return request
             return self.scheduler.select(list(index.requests()), key, now)
         if has_writes:
             return writes.peek()
         return None
-
-    def _verify_pick(
-        self,
-        index: BankReadIndex,
-        key: tuple[int, int],
-        now: int,
-        request: MemoryRequest,
-    ) -> None:
-        """Golden equivalence check: the reference scan must agree with the
-        indexed decision at every arbitration."""
-        scan = self.scheduler.select(list(index.requests()), key, now)
-        if scan is not request:
-            raise SimulationError(
-                f"arbitration divergence at t={now} bank={key}: "
-                f"index picked {request!r}, scan picked {scan!r}"
-            )
 
     def _issue(
         self,

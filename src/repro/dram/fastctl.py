@@ -21,9 +21,10 @@ cost of each event:
   chains;
 * arbitration runs on the packed-key kernel
   (:class:`~repro.dram.fastsched.FastBankSched`): per-bank row-bucketed
-  candidate arrays with integer sort keys and cached minima instead of
-  the heap-backed :class:`~repro.dram.rqindex.BankReadIndex` — same
-  membership contract, same epoch protocol, no heap churn;
+  candidate arrays with integer sort keys and cached minima, so a
+  decision reads two cached entries instead of scanning the candidates.
+  A policy without ``pack_key`` (a custom, scan-only scheduler) is
+  scanned with its ``select``, exactly as on the python path;
 * wakes that the python path provably wastes are *elided*: an enqueue to
   a busy bank arms the wake directly at the bank-free time instead of
   pushing an immediate wake whose only effect is to reschedule itself
@@ -49,11 +50,11 @@ from heapq import heappush
 from typing import TYPE_CHECKING, Callable
 
 from .bank import AccessOutcome
+from .buffers import WriteFifo
 from .controller import MemoryController
 from .fastbank import FastDramState
 from .fastsched import FastBankSched
 from .request import MemoryRequest, RequestType, _request_ids
-from .rqindex import WriteFifo
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..config import DramConfig
@@ -76,7 +77,6 @@ class FastMemoryController(MemoryController):
         config: "DramConfig",
         scheduler: "Scheduler",
         num_threads: int,
-        arbitration: str = "index",
         tracer=None,
         telemetry=None,
         guard=None,
@@ -86,7 +86,6 @@ class FastMemoryController(MemoryController):
             config,
             scheduler,
             num_threads,
-            arbitration=arbitration,
             tracer=tracer,
             telemetry=telemetry,
             guard=guard,
@@ -100,9 +99,8 @@ class FastMemoryController(MemoryController):
         # keyed dict lookups with one flat-list index.  Pre-created empty
         # indexes are invisible to the controller API: every reader
         # filters on ``size``.  Reads live in the packed-key kernel
-        # (:class:`FastBankSched`) instead of the heap-backed
-        # ``BankReadIndex`` — same membership API, so the batcher, guard
-        # and scan/verify paths read it unchanged.
+        # (:class:`FastBankSched`), a ``BankReads`` subclass, so the
+        # batcher, guard and scan path read its membership unchanged.
         self._kid_reads: list[FastBankSched] = []
         self._kid_writes: list[WriteFifo] = []
         self._kid_key: list[tuple[int, int]] = []
@@ -153,23 +151,19 @@ class FastMemoryController(MemoryController):
         self._overhead = config.timing.overhead
         # A policy that keeps the base ``select_indexed`` gets it inlined
         # in the wake path (same statements, minus two call frames per
-        # arbitration); one that overrides it is called normally (the
-        # packed kernel duck-types ``peek``/``peek_row``/``ensure``, so
-        # overrides like NFQ's work against it unchanged).
+        # arbitration); one that overrides it (NFQ) is called normally.
         self._generic_select = cls.select_indexed is _Base.select_indexed
         self._refresh_index = (
             scheduler.refresh_index
             if cls.refresh_index is not _Base.refresh_index
             else None
         )
-        # Packed-key protocol: the key function feeding FastBankSched
-        # (integer pack_key when the policy provides one, its tuple
-        # index_key otherwise) and whether prefix comparison is a shift
-        # or a slice.  ``index_uses_row`` is fixed at construction for
-        # every policy; STFM's runtime prefix flips are read live.
-        keyfn = scheduler.pack_key
-        self._packed_keys = keyfn is not None
-        self._index_keyfn = keyfn if keyfn is not None else scheduler.index_key
+        # Packed-key protocol: a policy with ``pack_key`` arbitrates on
+        # the kernel, one without it on its ``select`` scan.
+        # ``index_uses_row`` is fixed at construction for every policy;
+        # STFM's runtime prefix flips are read live.
+        self._pack_key = scheduler.pack_key
+        self._packed = self._pack_key is not None
         self._uses_row = scheduler.index_uses_row
         # Wake events elided by arming enqueue-time wakes directly at the
         # bank-free time (see module docstring); ``events_processed +
@@ -322,7 +316,7 @@ class FastMemoryController(MemoryController):
             )
         if request.is_read:
             index = self._kid_reads[kid]
-            # ``BankReadIndex.add`` inlined (runs once per read).
+            # ``BankReads.add`` inlined (runs once per read).
             rows = index.rows
             row = request.row
             bucket = rows.get(row)
@@ -344,12 +338,12 @@ class FastMemoryController(MemoryController):
             if hook is not None:
                 hook(request, now)
             if (
-                self._use_index
-                and index.heap_epoch == self.scheduler.index_epoch
+                self._packed
+                and index.key_epoch == self.scheduler.index_epoch
             ):
                 # ``FastBankSched.push`` inlined: append the packed key
-                # and bubble the cached minima (no heap churn).
-                k = self._index_keyfn(request)
+                # and bubble the cached minima.
+                k = self._pack_key(request)
                 keys = index.keys
                 kbucket = keys.get(row)
                 if kbucket is None:
@@ -545,9 +539,9 @@ class FastMemoryController(MemoryController):
         hook = self._hook_enqueue
         if hook is not None:
             hook(request, now)
-        if self._use_index and index.heap_epoch == self.scheduler.index_epoch:
+        if self._packed and index.key_epoch == self.scheduler.index_epoch:
             # ``FastBankSched.push`` inlined (see ``enqueue``).
-            k = self._index_keyfn(request)
+            k = self._pack_key(request)
             keys = index.keys
             kbucket = keys.get(row)
             if kbucket is None:
@@ -635,9 +629,8 @@ class FastMemoryController(MemoryController):
             return
         # -- command-bus slot ---------------------------------------------
         # Hoisted above the pick: the slot condition is independent of the
-        # arbitration outcome, and policy select paths are pure modulo
-        # memoization (verify arbitration mode already calls them twice
-        # per decision), so when the slot is booked the reference's
+        # arbitration outcome, and the packed-key decision is pure modulo
+        # memoization, so when the slot is booked the reference's
         # pick-then-discard is skipped wholesale and the bank re-arms at
         # the slot exactly as the reference does.  Guarded by the
         # emptiness check above: an empty bank returns without re-arming
@@ -646,6 +639,15 @@ class FastMemoryController(MemoryController):
         lastcmd = self._lastcmd_arr
         slot = lastcmd[channel_id] + self._tCK
         if slot > now:
+            if (
+                not self._packed
+                and index.size
+                and not (has_writes and self._draining_writes)
+            ):
+                # A scan-only policy's ``select`` may keep state (the
+                # round-robin example advances its turn), so consult it
+                # wherever the reference does, discarded pick included.
+                self.scheduler.select(list(index.requests()), key, now)
             # ``kid_wake[kid]`` was just cleared, so the pending-wake
             # test of the reference path is vacuously true here.
             kid_wake[kid] = slot
@@ -661,13 +663,20 @@ class FastMemoryController(MemoryController):
             request = None
         if request is None:
             size = index.size
-            if size == 1 and not self._verify_index:
+            if size == 0:
+                if not has_writes:
+                    return
+                request = writes.peek()
+            elif not self._packed:
+                request = self.scheduler.select(
+                    list(index.requests()), key, now
+                )
+            elif size == 1:
                 # Forced decision: with exactly one buffered read, every
                 # policy returns it — skip arbitration entirely (no
-                # refresh_index, no epoch check, no key rebuild).  Policy
-                # select paths must be pure modulo memoization (verify
-                # arbitration mode already calls them twice per decision),
-                # so the skipped consultation has no observable effect;
+                # refresh_index, no epoch check, no key rebuild).  The
+                # packed-key decision is pure modulo memoization, so the
+                # skipped consultation has no observable effect;
                 # scheduler epoch state re-derives at the next contended
                 # arbitration from the same counters the reference backend
                 # sees there, and a stale key array is dropped exactly on
@@ -675,73 +684,51 @@ class FastMemoryController(MemoryController):
                 for bucket in index.rows.values():
                     request = bucket[0]
                     break
-            elif size > 0:
-                if self._use_index:
-                    sched = self.scheduler
-                    if self._generic_select:
-                        # ``Scheduler.select_indexed`` on the packed
-                        # kernel: two cached-minimum reads plus (at most)
-                        # one shifted int compare.
-                        refresh = self._refresh_index
-                        if refresh is not None:
-                            refresh(now)
-                        if index.heap_epoch != sched.index_epoch:
-                            index.ensure(sched)
-                            probe = sched._p_sched
-                            if probe is not None:
-                                probe.emit(
-                                    now,
-                                    "sched.rqindex_rebuild",
-                                    ch=key[0],
-                                    bank=key[1],
-                                    epoch=sched.index_epoch,
-                                    size=index.size,
-                                )
-                        best = index.best
-                        row = self._openrow_arr[kid]
-                        if row is None or not self._uses_row:
+            else:
+                sched = self.scheduler
+                if self._generic_select:
+                    # ``Scheduler.select_indexed`` on the packed
+                    # kernel: two cached-minimum reads plus (at most)
+                    # one shifted int compare.
+                    refresh = self._refresh_index
+                    if refresh is not None:
+                        refresh(now)
+                    if index.key_epoch != sched.index_epoch:
+                        index.ensure(sched)
+                        probe = sched._p_sched
+                        if probe is not None:
+                            probe.emit(
+                                now,
+                                "sched.rqindex_rebuild",
+                                ch=key[0],
+                                bank=key[1],
+                                epoch=sched.index_epoch,
+                                size=index.size,
+                            )
+                    best = index.best
+                    row = self._openrow_arr[kid]
+                    if row is None or not self._uses_row:
+                        request = best[1]
+                    else:
+                        hit = index.row_best.get(row)
+                        if hit is None or hit is best:
                             request = best[1]
                         else:
-                            hit = index.row_best.get(row)
-                            if hit is None or hit is best:
-                                request = best[1]
-                            elif self._packed_keys:
-                                # Read live, never cached: STFM flips its
-                                # prefix when it toggles between fair mode
-                                # (shift above the age bits) and FR-FCFS
-                                # mode (None: a hit always wins).
-                                shift = sched.pack_prefix_shift
-                                if shift is None or (hit[0] >> shift) == (
-                                    best[0] >> shift
-                                ):
-                                    request = hit[1]
-                                else:
-                                    request = best[1]
+                            # Read live, never cached: STFM flips its
+                            # prefix when it toggles between fair mode
+                            # (shift above the age bits) and FR-FCFS
+                            # mode (None: a hit always wins).
+                            shift = sched.pack_prefix_shift
+                            if shift is None or (hit[0] >> shift) == (
+                                best[0] >> shift
+                            ):
+                                request = hit[1]
                             else:
-                                # Tuple-key fallback (no pack_key): same
-                                # prefix rule as the reference index.
-                                prefix = sched.index_prefix_len
-                                if (
-                                    prefix == 0
-                                    or hit[0][:prefix] == best[0][:prefix]
-                                ):
-                                    request = hit[1]
-                                else:
-                                    request = best[1]
-                    else:
-                        request = sched.select_indexed(
-                            index, key, now, self._openrow_arr[kid]
-                        )
-                    if self._verify_index:
-                        self._verify_pick(index, key, now, request)
+                                request = best[1]
                 else:
-                    request = self.scheduler.select(
-                        list(index.requests()), key, now
+                    request = sched.select_indexed(
+                        index, key, now, self._openrow_arr[kid]
                     )
-            elif has_writes:
-                request = writes.peek()
-            else:
-                return
         # Slot availability was checked before the pick; book it now.
         lastcmd[channel_id] = now
         # -- issue (reference ``_issue`` fused) ---------------------------

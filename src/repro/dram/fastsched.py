@@ -1,60 +1,52 @@
 """Flat-array arbitration kernel for the fast backend.
 
-:class:`FastBankSched` is the fast backend's replacement for
-:class:`~repro.dram.rqindex.BankReadIndex`.  It keeps the same membership
-state (row buckets, size, per-thread counts) and the same duck-typed API
-(``add``/``remove``/``push``/``ensure``/``peek``/``peek_row``/
-``requests``/``heap_epoch``), so every reader of the controller's request
-buffers — the batcher's marking walk, the guard's conservation audit,
-scan-mode and verify-mode arbitration, custom ``select_indexed``
-overrides — works against either structure unchanged.  What changes is
-how the priority order is maintained:
+:class:`FastBankSched` is the fast backend's per-bank read buffer.  It
+extends :class:`~repro.dram.buffers.BankReads` — the same row buckets,
+size and per-thread counts, so the batcher's marking walk and the guard's
+conservation audit read either structure unchanged — with a priority
+order answered without scanning:
 
-* **Packed integer sort keys** — instead of per-request key *tuples*
-  compared element-wise inside heaps, each policy encodes its priority as
-  one integer (:meth:`Scheduler.pack_key
-  <repro.schedulers.base.Scheduler.pack_key>`).  Because request ids are
-  allocated at construction and requests are enqueued immediately,
+* **Packed integer sort keys** — each policy encodes its priority as one
+  integer (:meth:`Scheduler.pack_key
+  <repro.schedulers.base.Scheduler.pack_key>`) with the row-hit component
+  left out (it is resolved through the open row's bucket).  Because request
+  ids are allocated at construction and requests are enqueued immediately,
   ``request_id`` order is ``(arrival_time, request_id)`` order, so the
   age component packs as the raw id in the low :data:`AGE_BITS` bits;
   policy fields (PAR-BS marked/priority/rank bits, STFM's boosted-thread
   bit, NFQ's IEEE-754 virtual-finish-time pattern) stack above it.
   Comparing two packed keys is a single C-level int compare, and the
-  prefix-comparison rule of ``select_indexed`` becomes a right-shift
-  (:attr:`Scheduler.pack_prefix_shift`) instead of a tuple slice.
+  prefix rule of ``select_indexed`` is a right-shift
+  (:attr:`Scheduler.pack_prefix_shift`).
 
-* **Candidate arrays with cached minima instead of heaps** — per row
-  bucket the kernel keeps a parallel ``keys`` array plus the bucket's
-  minimum entry; per bank it caches the global minimum.  ``select()`` is
-  then an O(1) read of two cached entries (the open row's best and the
-  bank best).  Inserts update the cached minima by comparison; removal is
-  an exact swap-pop of both arrays (no lazy-deletion churn) with an
-  O(bucket) ``min()`` rebuild only when the removed request *was* a
-  cached minimum — C-speed ``min`` over a small int array.
+* **Candidate arrays with cached minima** — per row bucket the kernel
+  keeps a parallel ``keys`` array plus the bucket's minimum entry; per
+  bank it caches the global minimum.  A decision is then an O(1) read of
+  two cached entries (the open row's best and the bank best).  Inserts
+  update the cached minima by comparison; removal is an exact swap-pop of
+  both arrays with an O(bucket) ``min()`` rebuild only when the removed
+  request *was* a cached minimum — C-speed ``min`` over a small int array.
 
-* **Epoch-tagged lazy invalidation** — same protocol as the heaps: keys
-  are valid for the scheduler epoch in ``heap_epoch``; a batch boundary
-  or STFM fairness-mode flip bumps the scheduler's ``index_epoch`` and a
-  bank's key arrays are rebuilt on its next arbitration
-  (:meth:`ensure`), an O(bank-occupancy) repack with no heapify.
+* **Epoch-tagged lazy invalidation** — keys are valid for the scheduler
+  epoch in ``key_epoch``; a batch boundary or STFM fairness-mode flip
+  bumps the scheduler's ``index_epoch`` and a bank's key arrays are
+  rebuilt on its next arbitration (:meth:`ensure`), an O(bank-occupancy)
+  repack.
 
-Schedulers that define ``index_key`` but not ``pack_key`` still work:
-the kernel falls back to the tuple keys (minima and comparisons behave
-identically; only the constant factor is worse).  Keys of either kind
-end in the unique ``request_id``, so minima are strict and entries never
-compare requests.
-
-The age field reserves :data:`AGE_BITS` bits for the raw request id,
-which overflows into the policy fields only after ``2**40`` requests in
-one process — weeks of continuous simulation; far beyond any run this
-repo performs.  ``tests/test_fastsched.py`` fuzzes this kernel against
-``BankReadIndex`` op-for-op and pins the golden command streams.
+Keys end in the unique ``request_id``, so minima are strict and entries
+never compare requests.  The age field reserves :data:`AGE_BITS` bits for
+the raw request id, which overflows into the policy fields only after
+``2**40`` requests in one process — far beyond any run this repo
+performs.  ``tests/test_fastsched.py`` fuzzes this kernel's decisions
+against each policy's reference ``select`` scan and pins the golden
+command streams.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
+from .buffers import BankReads
 from .request import MemoryRequest
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -67,59 +59,32 @@ __all__ = ["AGE_BITS", "FastBankSched"]
 AGE_BITS = 40
 
 
-class FastBankSched:
-    """Buffered reads of one (channel, bank): row-bucketed candidate
-    arrays with packed sort keys and cached minima.
+class FastBankSched(BankReads):
+    """Buffered reads of one (channel, bank): row buckets plus packed sort
+    keys and cached minima.
 
     Membership (``rows``/``size``/``thread_counts``) is always exact; the
-    ``keys`` arrays and cached minima are valid for the scheduler epoch in
-    ``heap_epoch`` (name kept for :class:`BankReadIndex` compatibility)
-    and rebuilt on demand by :meth:`ensure`.  ``row_best``/``best`` hold
-    ``(key, request)`` entries mirroring what ``peek_row``/``peek``
-    return on the heap-backed index.
+    ``keys`` arrays and the ``(key, request)`` minima ``row_best``/``best``
+    are valid for the scheduler epoch in ``key_epoch`` and rebuilt on
+    demand by :meth:`ensure`.
     """
 
-    __slots__ = (
-        "rows",
-        "size",
-        "thread_counts",
-        "keys",
-        "row_best",
-        "best",
-        "heap_epoch",
-        "min_rebuilds",
-    )
+    __slots__ = ("keys", "row_best", "best", "key_epoch", "min_rebuilds")
 
     def __init__(self) -> None:
-        # row -> requests holding that row; removal is swap-pop via
-        # ``request.buf_pos`` (same contract as BankReadIndex).
-        self.rows: dict[int, list[MemoryRequest]] = {}
-        self.size = 0
-        self.thread_counts: dict[int, int] = {}
+        super().__init__()
         # row -> packed keys, parallel to ``rows`` while the epoch holds.
-        self.keys: dict[int, list] = {}
+        self.keys: dict[int, list[int]] = {}
         # row -> (key, request) bucket minimum; bank-wide minimum.
         self.row_best: dict[int, tuple] = {}
         self.best: tuple | None = None
-        self.heap_epoch = -1  # epoch the key arrays were built for
+        self.key_epoch = -1  # epoch the key arrays were built for
         # How often a removal evicted a cached bucket minimum and forced
         # an O(bucket) rebuild — the kernel's only non-O(1) removal path,
         # surfaced on WorkloadResult for the observability plane.
         self.min_rebuilds = 0
 
-    # -- membership --------------------------------------------------------
-    def add(self, request: MemoryRequest) -> None:
-        """Insert ``request`` into its row bucket (keys unaffected; call
-        :meth:`push` once the scheduler has stamped its priority fields)."""
-        bucket = self.rows.get(request.row)
-        if bucket is None:
-            bucket = self.rows[request.row] = []
-        request.buf_pos = len(bucket)
-        bucket.append(request)
-        counts = self.thread_counts
-        counts[request.thread_id] = counts.get(request.thread_id, 0) + 1
-        self.size += 1
-
+    # -- membership (``add``/``requests`` inherited) -------------------------
     def remove(self, request: MemoryRequest) -> None:
         """Swap-pop ``request`` out of its row bucket (and, when the keys
         are current, out of the parallel key array) in O(1), rebuilding a
@@ -170,22 +135,14 @@ class FastBankSched:
             row_best = self.row_best
             self.best = min(row_best.values()) if row_best else None
 
-    def requests(self) -> Iterator[MemoryRequest]:
-        """Iterate every buffered request (row buckets, arbitrary order)."""
-        for bucket in self.rows.values():
-            yield from bucket
-
     # -- key maintenance ---------------------------------------------------
     def push(self, request: MemoryRequest, scheduler: "Scheduler") -> None:
         """Index a newly buffered request under the scheduler's current
         epoch.  If the keys are already stale, skip — the next
         :meth:`ensure` rebuilds them from membership anyway."""
-        if self.heap_epoch != scheduler.index_epoch:
+        if self.key_epoch != scheduler.index_epoch:
             return
-        keyfn = scheduler.pack_key
-        if keyfn is None:
-            keyfn = scheduler.index_key
-        k = keyfn(request)
+        k = scheduler.pack_key(request)
         row = request.row
         kbucket = self.keys.get(row)
         if kbucket is None:
@@ -201,14 +158,11 @@ class FastBankSched:
 
     def ensure(self, scheduler: "Scheduler") -> None:
         """Repack the key arrays if the scheduler's epoch moved on —
-        O(occupancy) key packing plus one C-level ``min`` per bucket, no
-        heapify."""
-        if self.heap_epoch == scheduler.index_epoch:
+        O(occupancy) key packing plus one C-level ``min`` per bucket."""
+        if self.key_epoch == scheduler.index_epoch:
             return
         keyfn = scheduler.pack_key
-        if keyfn is None:
-            keyfn = scheduler.index_key
-        keys: dict[int, list] = {}
+        keys: dict[int, list[int]] = {}
         row_best: dict[int, tuple] = {}
         for row, bucket in self.rows.items():
             kbucket = [keyfn(r) for r in bucket]
@@ -218,7 +172,7 @@ class FastBankSched:
         self.keys = keys
         self.row_best = row_best
         self.best = min(row_best.values()) if row_best else None
-        self.heap_epoch = scheduler.index_epoch
+        self.key_epoch = scheduler.index_epoch
 
     # -- queries -----------------------------------------------------------
     def peek(self) -> tuple | None:

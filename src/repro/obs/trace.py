@@ -19,7 +19,9 @@ Event vocabulary (``category.kind``):
                          Max-Total ranking, per-thread backlog
 ``batch.completed``      the current batch fully drained (duration)
 ``sched.epoch``          scheduler priority epoch bumped
-``sched.rqindex_rebuild``a bank's arbitration index rebuilt its heaps
+``sched.rqindex_rebuild``the fast backend repacked a bank's priority keys
+                         after an epoch bump (python-backend runs scan
+                         and never emit it)
 ``core.stall``           a core's commit blocked on an incomplete DRAM load
 ``core.unstall``         the core resumed retiring instructions
 ``sample.tick``          periodic telemetry sample (see repro.obs.sampler)

@@ -9,51 +9,45 @@ times, or slowdown estimates.
 All policies in the paper are expressible as a priority over the per-bank
 candidate list plus bookkeeping in the hooks, mirroring the
 priority-register hardware implementation sketched in Section 6 of the
-paper.  Each policy therefore has two equivalent arbitration paths:
+paper.  A policy is:
 
-* :meth:`Scheduler.select` — the reference scan, ``min()`` over the
-  candidate list with the policy's full key;
-* :meth:`Scheduler.select_indexed` — the same decision answered from the
-  controller's incremental :class:`~repro.dram.rqindex.BankReadIndex`
-  (row buckets + epoch-cached priority heaps) without scanning.
+:meth:`Scheduler.select`
+    The reference decision: a ``min()`` over the bank's candidate list
+    with the policy's full key.  The python backend always arbitrates
+    with it, and it is all a custom policy must define.
 
-The index protocol a policy opts into by defining :meth:`index_key`:
-
-``index_key(request)``
-    The policy's priority key with the row-hit component *removed* (it is
-    resolved via the row buckets instead).  Must be immutable while
-    ``index_epoch`` stands still; bump the epoch whenever global priority
-    state invalidates buffered keys.
-``index_prefix_len``
-    How many leading key components outrank row-hit status in the
-    policy's scan key.  E.g. PAR-BS scans with ``(marked, priority,
-    row_hit, rank, age)`` → the index key is ``(marked, priority, rank,
-    age)`` with prefix length 2.
+``pack_key(request)``
+    Optional.  The same key as one integer, with the row-hit component
+    removed (the fast backend resolves it through the open row's bucket):
+    policy fields stacked above the request id in the low
+    :data:`~repro.dram.fastsched.AGE_BITS` bits (ids are allocated at
+    construction and requests enqueue immediately, so the raw id orders
+    identically to ``(arrival_time, request_id)``).  Keys must be
+    immutable while ``index_epoch`` stands still; bump the epoch
+    (:meth:`Scheduler.bump_index_epoch`) whenever global priority state
+    invalidates buffered keys.  When it is set, the fast backend answers
+    decisions from its packed-key kernel
+    (:class:`~repro.dram.fastsched.FastBankSched`) through
+    :meth:`Scheduler.select_indexed`; when it is ``None``, the fast
+    backend scans with :meth:`Scheduler.select` like the python one.
+``pack_prefix_shift``
+    How much of the packed key outranks row-hit status, as a right-shift:
+    shifting two keys by this many bits compares exactly the components
+    that precede ``row_hit`` in the scan key.  E.g. PAR-BS scans with
+    ``(marked, priority, row_hit, rank, age)``, packs ``(marked, priority,
+    rank, id)`` and shifts away ``rank`` and ``id``.  ``None`` means an
+    empty prefix (nothing outranks a row hit); a policy whose prefix
+    changes at runtime (STFM) updates it when it bumps the epoch.
 ``index_uses_row``
-    False for row-blind policies (FCFS) so the open row is never even
+    False for row-blind policies (FCFS), so the open row is never even
     resolved.
 ``refresh_index(now)``
-    Called before each indexed decision; a policy whose priority state
+    Called before each packed-key decision; a policy whose priority state
     drifts continuously (STFM) re-derives it here and bumps the epoch
     only when the drift actually changes buffered keys.
 
-The fast backend's packed-key kernel (:mod:`repro.dram.fastsched`) adds
-an optional second encoding of the same order:
-
-``pack_key(request)``
-    ``index_key`` packed into one integer — policy fields stacked above
-    the request id in the low :data:`~repro.dram.fastsched.AGE_BITS`
-    bits (ids are allocated at construction and requests enqueue
-    immediately, so the raw id orders identically to ``(arrival_time,
-    request_id)``).  Must sort identically to ``index_key`` and obey the
-    same epoch protocol.  Policies without it still run on the fast
-    backend using their tuple keys.
-``pack_prefix_shift``
-    ``index_prefix_len`` in shift form: right-shifting two packed keys
-    by this many bits compares exactly the prefix components.  ``None``
-    means an empty prefix (nothing outranks a row hit) — policies whose
-    prefix length changes at runtime (STFM) must flip both attributes
-    together.
+``tests/test_fastsched.py`` fuzzes every packed decision against
+:meth:`Scheduler.select`, and the ``verify`` backend checks whole runs.
 """
 
 from __future__ import annotations
@@ -65,7 +59,7 @@ from ..dram.request import MemoryRequest
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..dram.controller import MemoryController
-    from ..dram.rqindex import BankReadIndex
+    from ..dram.fastsched import FastBankSched
 
 __all__ = ["Scheduler", "BankKey"]
 
@@ -78,21 +72,12 @@ class Scheduler(ABC):
 
     name: str = "base"
 
-    # -- incremental-index protocol (see module docstring) -------------------
-    # Policies that support index-based arbitration override ``index_key``;
-    # the controller falls back to scan arbitration when it is None, so
-    # custom scan-only schedulers keep working unchanged.
-    index_key: Callable[[MemoryRequest], tuple] | None = None
-    index_prefix_len: int = 0
-    index_uses_row: bool = True
-
-    # Packed-integer twin of ``index_key`` for the fast backend's
-    # flat-array kernel (see module docstring); optional — ``None`` falls
-    # back to the tuple keys inside :class:`~repro.dram.fastsched.
-    # FastBankSched`.  ``pack_prefix_shift`` is ``index_prefix_len``
-    # expressed as a right-shift bit count (``None`` = empty prefix).
+    # -- packed-key protocol (see module docstring) --------------------------
+    # ``None`` keeps the policy on the scan path on both backends, so custom
+    # scan-only schedulers work unchanged.
     pack_key: Callable[[MemoryRequest], int] | None = None
     pack_prefix_shift: int | None = None
+    index_uses_row: bool = True
 
     # Set True by policies whose hooks read ``request.service_outcome``
     # (e.g. STFM's row-hit-aware alone-time model).  The fast backend
@@ -102,8 +87,8 @@ class Scheduler(ABC):
 
     def __init__(self) -> None:
         self.controller: "MemoryController | None" = None
-        # Bumped whenever buffered requests' priority keys go stale; the
-        # index rebuilds a bank's heaps lazily when it observes a new epoch.
+        # Bumped whenever buffered requests' packed keys go stale; the fast
+        # kernel repacks a bank's keys lazily when it observes a new epoch.
         self.index_epoch = 0
         # ``sched``-category trace probe, bound in :meth:`attach`; None
         # whenever tracing is off, so instrumented paths stay free.
@@ -120,7 +105,7 @@ class Scheduler(ABC):
         self._guard = getattr(controller, "guard", None)
 
     def bump_index_epoch(self, now: int) -> None:
-        """Invalidate every bank's cached priority heaps (and trace it)."""
+        """Invalidate every bank's packed keys (and trace it)."""
         self.index_epoch += 1
         probe = self._p_sched
         if probe is not None:
@@ -144,31 +129,33 @@ class Scheduler(ABC):
         all targeting ``bank``)."""
 
     def refresh_index(self, now: int) -> None:
-        """Re-derive epoch-scoped priority state before an indexed decision
-        (no-op for policies whose keys only change at explicit events)."""
+        """Re-derive epoch-scoped priority state before a packed-key
+        decision (no-op for policies whose keys only change at explicit
+        events)."""
 
     def select_indexed(
-        self, index: "BankReadIndex", bank: BankKey, now: int,
+        self, index: "FastBankSched", bank: BankKey, now: int,
         open_row: int | None,
     ) -> MemoryRequest:
-        """Answer :meth:`select` from the bank's index without scanning.
+        """Answer :meth:`select` from the bank's packed keys without
+        scanning.
 
-        ``open_row`` is the bank's currently latched row (the controller
-        already has the bank object in hand at every arbitration, so it is
-        passed in rather than re-resolved here).
-
-        The policy's scan key factors as ``(prefix, row_hit, rest)`` with
-        ``len(prefix) == index_prefix_len`` and ``index_key == prefix +
-        rest``.  Because a lexicographic minimum also minimizes every key
-        prefix, the scan winner is:
+        ``open_row`` is the bank's currently latched row.  The policy's
+        scan key factors as ``(prefix, row_hit, rest)``, and its packed key
+        as ``prefix`` above ``pack_prefix_shift`` bits of ``rest``.
+        Because a lexicographic minimum also minimizes every key prefix,
+        the scan winner is:
 
         * the best open-row request, if its prefix ties the bank-wide
           best (row hits win the ``row_hit`` component on equal prefixes);
         * the bank-wide best otherwise (which is then provably a miss —
           were it a hit, the best hit's prefix would tie it).
+
+        The fast controller inlines this body for every policy that does
+        not override it.
         """
         self.refresh_index(now)
-        if index.heap_epoch != self.index_epoch:
+        if index.key_epoch != self.index_epoch:
             index.ensure(self)
             probe = self._p_sched
             if probe is not None:
@@ -186,8 +173,8 @@ class Scheduler(ABC):
         hit = index.peek_row(open_row)
         if hit is None:
             return best[1]
-        prefix = self.index_prefix_len
-        if prefix == 0 or hit[0][:prefix] == best[0][:prefix]:
+        shift = self.pack_prefix_shift
+        if shift is None or (hit[0] >> shift) == (best[0] >> shift):
             return hit[1]
         return best[1]
 

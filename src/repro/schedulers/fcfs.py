@@ -20,12 +20,9 @@ class FcfsScheduler(Scheduler):
 
     name = "FCFS"
 
-    # Age is the whole priority; the open row never matters, so the index
-    # answers every decision from the bank-wide heap alone.
+    # Age is the whole priority; the open row never matters, so the fast
+    # kernel answers every decision from the bank-wide minimum alone.
     index_uses_row = False
-
-    def index_key(self, request: MemoryRequest) -> tuple:
-        return (request.arrival_time, request.request_id)
 
     def pack_key(self, request: MemoryRequest) -> int:
         # Ids are allocated at construction and requests enqueue

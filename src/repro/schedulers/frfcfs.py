@@ -25,17 +25,10 @@ class FrFcfsScheduler(Scheduler):
 
     name = "FR-FCFS"
 
-    # Scan key is (row_miss, age): nothing outranks a row hit, so the
-    # prefix is empty — the open-row bucket's best always wins when the
-    # bucket is non-empty — and age keys never go stale (epoch never bumps).
-    index_prefix_len = 0
-
-    def index_key(self, request: MemoryRequest) -> tuple:
-        return (request.arrival_time, request.request_id)
-
-    # Packed form: the raw id alone (id order == age order); the prefix
-    # stays empty (``pack_prefix_shift`` None), so the fast kernel's
-    # open-row best always wins when the bucket is non-empty.
+    # Scan key is (row_miss, age), packed as the raw id alone (id order ==
+    # age order).  Nothing outranks a row hit, so the prefix stays empty
+    # (``pack_prefix_shift`` None) — the open-row bucket's best always wins
+    # when the bucket is non-empty — and the epoch never bumps.
     def pack_key(self, request: MemoryRequest) -> int:
         return request.request_id
 

@@ -127,16 +127,13 @@ class NfqScheduler(Scheduler):
             self._row_open_since[bank] = now
 
     # -- arbitration -----------------------------------------------------------
-    def index_key(self, request: MemoryRequest) -> tuple:
-        # Virtual finish times are stamped at enqueue and never revised, so
-        # NFQ keys are static and the epoch never bumps.
-        return (request.virtual_finish, request.arrival_time, request.request_id)
-
     def pack_key(self, request: MemoryRequest) -> int:
-        # Virtual finish times are non-negative, and non-negative IEEE-754
-        # doubles order identically to their big-endian bit patterns, so
-        # the float packs into the integer key without losing a single
-        # comparison: (vf bits, id) sorts exactly like (vf, arrival, id).
+        # Virtual finish times are stamped at enqueue and never revised, so
+        # NFQ keys are static and the epoch never bumps.  They are also
+        # non-negative, and non-negative IEEE-754 doubles order identically
+        # to their big-endian bit patterns, so the float packs into the
+        # integer key without losing a single comparison: (vf bits, id)
+        # sorts exactly like (vf, arrival, id).
         return (
             int.from_bytes(_DOUBLE_BITS(request.virtual_finish), "big") << 40
             | request.request_id
@@ -148,9 +145,9 @@ class NfqScheduler(Scheduler):
         # The inversion-prevention rule is not a lexicographic key — an
         # in-budget row streak diverts service to the open-row bucket
         # wholesale — so the generic prefix comparison does not apply:
-        # either the whole decision comes from the open row's heap, or the
-        # row buffer is ignored entirely.
-        if index.heap_epoch != self.index_epoch:
+        # either the whole decision comes from the open row's bucket, or
+        # the row buffer is ignored entirely.
+        if index.key_epoch != self.index_epoch:
             index.ensure(self)
         if open_row is not None:
             hit = index.peek_row(open_row)

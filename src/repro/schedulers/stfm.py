@@ -85,8 +85,8 @@ class StfmScheduler(Scheduler):
         self._sd_dirty: list[bool] = [False] * num_threads
         self._sd_time: list[int] = [-1] * num_threads
         self._sd_any_dirty = False
-        # Epoch-scoped arbitration mode for the incremental index:
-        # (fairness mode active, thread being boosted).  Buffered index
+        # Epoch-scoped arbitration mode for the fast backend's packed keys:
+        # (fairness mode active, thread being boosted).  Buffered packed
         # keys are built against this snapshot; ``refresh_index`` bumps the
         # epoch only when a decision actually observes a different mode.
         self._index_mode: tuple[bool, int] = (False, -1)
@@ -271,7 +271,7 @@ class StfmScheduler(Scheduler):
         # only invalidate buffered keys when the *decision* they imply —
         # fair mode on/off, and which thread is slowest — changes.  Derive
         # that decision exactly as ``select`` does and bump the epoch on a
-        # flip, so heaps rebuild per flip rather than per estimate update.
+        # flip, so keys repack per flip rather than per estimate update.
         # When the slowdown table is untouched since the last derivation in
         # this same cycle (several banks arbitrating back to back), the
         # decision cannot have changed either — skip the scan.
@@ -304,19 +304,8 @@ class StfmScheduler(Scheduler):
         mode = (fair, slowest)
         if mode != self._index_mode:
             self._index_mode = mode
-            self.index_prefix_len = 1 if fair else 0
             self.pack_prefix_shift = 40 if fair else None
             self.bump_index_epoch(now)
-
-    def index_key(self, request: MemoryRequest) -> tuple:
-        fair, slowest = self._index_mode
-        if fair:
-            return (
-                request.thread_id != slowest,
-                request.arrival_time,
-                request.request_id,
-            )
-        return (request.arrival_time, request.request_id)
 
     def pack_key(self, request: MemoryRequest) -> int:
         # Fair mode: one boost bit (0 = the slowest thread) above the age;

@@ -89,11 +89,6 @@ class System:
     repeat:
         Restart finished traces to keep contention steady until every core
         has completed at least once.
-    arbitration:
-        Controller arbitration mode: ``"index"`` (incremental arbitration
-        index, default), ``"scan"`` (reference ``min()``-over-candidates
-        path), or ``"verify"`` (both, asserting agreement at every
-        decision).  See :mod:`repro.dram.rqindex`.
     tracer:
         Optional :class:`~repro.obs.trace.Tracer`; when present, the
         controller, scheduler, batcher and cores emit structured events
@@ -124,7 +119,6 @@ class System:
         traces: list[Trace],
         use_caches: bool = False,
         repeat: bool = True,
-        arbitration: str = "index",
         tracer=None,
         telemetry=None,
         guard=None,
@@ -153,7 +147,6 @@ class System:
             config.dram,
             scheduler,
             num_threads=config.num_cores,
-            arbitration=arbitration,
             tracer=tracer,
             telemetry=telemetry,
             guard=guard,

@@ -13,10 +13,15 @@ Backend selection goes through :func:`backend_from_env`
 (``REPRO_BACKEND`` / the ``--backend`` CLI flag):
 
 ==========  ==============================================================
-``python``  reference object-model controller (default)
-``fast``    flat-array timing kernel (:mod:`repro.dram.fastctl`)
+``fast``    flat-array timing kernel (:mod:`repro.dram.fastctl`) with
+            packed-key arbitration (default)
+``python``  reference object-model controller; every decision is the
+            policy's ``select`` scan
 ``verify``  both, asserting bit-for-bit agreement on every run
 ==========  ==============================================================
+
+The library constructor :class:`~repro.sim.system.System` still defaults
+to ``python``; this default applies to the runners and the CLI.
 """
 
 from __future__ import annotations
@@ -41,8 +46,8 @@ BACKENDS = ("python", "fast", "verify")
 
 
 def backend_from_env() -> str:
-    """Simulation backend from ``REPRO_BACKEND`` (default ``python``)."""
-    return read_choice("REPRO_BACKEND", "python", choices=BACKENDS)
+    """Simulation backend from ``REPRO_BACKEND`` (default ``fast``)."""
+    return read_choice("REPRO_BACKEND", "fast", choices=BACKENDS)
 
 
 class BackendMismatch(AssertionError):

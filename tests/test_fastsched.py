@@ -1,18 +1,19 @@
 """Fuzz and golden tests for the packed-key arbitration kernel.
 
-:class:`~repro.dram.fastsched.FastBankSched` replaces
-:class:`~repro.dram.rqindex.BankReadIndex` on the fast backend.  The two
-structures must agree *op for op* — same membership, same ``peek`` /
-``peek_row`` winners after any interleaving of inserts, removals and
-epoch bumps — because the controller consults whichever one is installed
-to make issue decisions, and the backends must produce the same command
+:class:`~repro.dram.fastsched.FastBankSched` answers the fast backend's
+read decisions from packed integer keys and cached minima.  Every decision
+must equal the one the policy's own reference scan,
+:meth:`~repro.schedulers.base.Scheduler.select`, makes over the same
+buffered requests with the same open row — the python backend arbitrates
+with exactly that scan, and the backends must produce the same command
 stream.  Two layers pin this:
 
-- a randomized differential fuzz that drives both structures through
-  hundreds of mixed enqueue/complete/epoch-bump operations per policy,
-  checking every observable after every op (this is what exercises the
-  stale-key-array corners: pushes skipped after a bump, removals against
-  stale parallel arrays, minima rebuilds);
+- a randomized differential fuzz that drives the kernel through hundreds
+  of mixed enqueue/complete/priority-change operations per policy, and
+  after every op compares :meth:`~repro.schedulers.base.Scheduler.
+  select_indexed` with ``select`` for every possible open row (this is
+  what exercises the stale-key-array corners: pushes skipped after an
+  epoch bump, removals against stale parallel arrays, minima rebuilds);
 - golden command-stream equivalence over full simulations — every
   scheduler x {4, 8} cores x 2 seeds through the ``test_fastsim``
   harness, comparing the issued DRAM command log entry by entry.
@@ -20,7 +21,10 @@ stream.  Two layers pin this:
 
 from __future__ import annotations
 
+import importlib.util
 import random
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -28,20 +32,23 @@ from repro.config import baseline_system
 from repro.dram.fastctl import FastMemoryController
 from repro.dram.fastsched import FastBankSched
 from repro.dram.request import MemoryRequest
-from repro.dram.rqindex import BankReadIndex
 from repro.events import EventQueue
 from repro.sim.factory import SCHEDULER_NAMES, make_scheduler
+from repro.sim.system import System
+from repro.sim.verify import compare_systems
 
-from tests.test_fastsim import _run
+from tests.test_fastsim import _run, _traces
 
 NUM_THREADS = 4
 ROWS = 4
 FUZZ_OPS = 600
+BANK = (0, 0)
 
 
 def _attached_scheduler(name: str):
     """A scheduler attached to a real controller (NFQ/STFM need the bank
-    geometry and timing model resolved before they stamp or key requests)."""
+    geometry and timing model resolved before they stamp or key requests,
+    and every ``select`` reads the bank's open row through it)."""
     config = baseline_system(NUM_THREADS)
     controller = FastMemoryController(
         EventQueue(), config.dram, make_scheduler(name, NUM_THREADS),
@@ -50,109 +57,105 @@ def _attached_scheduler(name: str):
     return controller.scheduler
 
 
-def _twin_requests(rng: random.Random, now: int) -> tuple[MemoryRequest, MemoryRequest]:
-    """Two distinct request objects with identical field values (including a
-    shared ``request_id``) — one per structure, so the structures' private
-    ``buf_pos`` bookkeeping never aliases."""
-    fields = dict(
+def _request(scheduler, rng: random.Random, now: int) -> MemoryRequest:
+    """A buffered read stamped the way the policy's enqueue hook would."""
+    request = MemoryRequest(
         thread_id=rng.randrange(NUM_THREADS),
         address=rng.randrange(1 << 20) * 64,
-        channel=0,
-        bank=0,
+        channel=BANK[0],
+        bank=BANK[1],
         row=rng.randrange(ROWS),
         arrival_time=now,
     )
-    a = MemoryRequest(**fields)
-    b = MemoryRequest(**fields)
-    b.request_id = a.request_id
-    return a, b
+    name = scheduler.name
+    if name == "NFQ":
+        scheduler.on_enqueue(request, now)  # stamps the virtual finish time
+    elif name.startswith("PAR-BS"):
+        request.marked = rng.random() < 0.5
+        request.priority_level = rng.choice((1, 1, 2))
+    return request
 
 
 def _mutate_priority_state(scheduler, rng: random.Random, live, now: int) -> None:
-    """Change the global priority state the way the policy would, then bump
-    the epoch — the protocol under test is that key arrays built for the old
-    epoch are lazily rebuilt, never consulted stale."""
+    """Change the global priority state the way the policy would.  Keys
+    packed for the old state must be lazily repacked, never consulted
+    stale."""
     name = scheduler.name
-    if name == "PAR-BS":
+    if name.startswith("PAR-BS"):
         # Batch boundary: marking status and the rank table change together.
-        for ra, rb in live:
+        for request in live:
             if rng.random() < 0.4:
-                ra.marked = not ra.marked
-                rb.marked = ra.marked
+                request.marked = not request.marked
         ranks = list(range(NUM_THREADS))
         rng.shuffle(ranks)
         scheduler._rank_by_tid = ranks
+        scheduler._ranks = dict(enumerate(ranks))
+        scheduler.bump_index_epoch(now)
     elif name == "STFM":
-        # Fairness-mode flip: fair on/off and which thread is slowest.
+        # New slowdown estimates; ``refresh_index`` bumps the epoch at the
+        # next decision if they flip fair mode or the slowest thread.
         fair = rng.random() < 0.5
-        scheduler._index_mode = (fair, rng.randrange(NUM_THREADS) if fair else -1)
-        scheduler.index_prefix_len = 1 if fair else 0
-        scheduler.pack_prefix_shift = 40 if fair else None
-    scheduler.bump_index_epoch(now)
+        for tid in range(NUM_THREADS):
+            shared = float(rng.randrange(100, 1000))
+            scheduler._t_shared[tid] = shared
+            scheduler._t_interference[tid] = (
+                shared * rng.random() * 0.6 if fair else 0.0
+            )
+            scheduler._sd_dirty[tid] = True
+        scheduler._sd_any_dirty = True
+    else:
+        if name == "NFQ":
+            # Move the open row's age across the inversion budget.
+            scheduler._row_open_since[BANK] = now - rng.randrange(
+                2 * scheduler._inv_thresh
+            )
+        scheduler.bump_index_epoch(now)
 
 
-def _assert_observables_equal(ref: BankReadIndex, fast: FastBankSched, scheduler):
-    # Membership is exact on both sides at all times.
-    assert fast.size == ref.size
-    assert fast.thread_counts == ref.thread_counts
-    assert sorted(r.request_id for r in fast.requests()) == sorted(
-        r.request_id for r in ref.requests()
+def _assert_decisions_match(kernel: FastBankSched, scheduler, live, now: int):
+    # Membership is exact at all times.
+    assert kernel.size == len(live)
+    assert kernel.thread_counts == Counter(r.thread_id for r in live)
+    assert sorted(r.request_id for r in kernel.requests()) == sorted(
+        r.request_id for r in live
     )
-    # Arbitration observables, after the same lazy revalidation the
-    # controller performs.
-    ref.ensure(scheduler)
-    fast.ensure(scheduler)
-    ref_best = ref.peek()
-    fast_best = fast.peek()
-    if ref_best is None:
-        assert fast_best is None
+    if not live:
         return
-    assert fast_best is not None
-    assert fast_best[1].request_id == ref_best[1].request_id
-    for row in list(ref.rows):
-        ref_row = ref.peek_row(row)
-        fast_row = fast.peek_row(row)
-        assert ref_row is not None and fast_row is not None
-        assert fast_row[1].request_id == ref_row[1].request_id
+    bank = scheduler.controller.channels[BANK[0]].banks[BANK[1]]
+    for open_row in (None, *range(ROWS)):
+        bank.open_row = open_row
+        expected = scheduler.select(list(kernel.requests()), BANK, now)
+        chosen = scheduler.select_indexed(kernel, BANK, now, open_row)
+        assert chosen is expected, (open_row, chosen, expected)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("scheduler_name", SCHEDULER_NAMES)
 def test_kernel_fuzz_matches_rqindex(scheduler_name, seed):
-    """Differential fuzz: FastBankSched and BankReadIndex agree on every
-    observable after every one of ``FUZZ_OPS`` random operations."""
+    """Differential fuzz: the packed-key kernel's decision equals the
+    policy's ``select`` scan over the same buffered requests, for every
+    open row, after every one of ``FUZZ_OPS`` random operations."""
     scheduler = _attached_scheduler(scheduler_name)
     rng = random.Random(seed * 1000 + 7)
-    ref = BankReadIndex()
-    fast = FastBankSched()
-    live: list[tuple[MemoryRequest, MemoryRequest]] = []
+    kernel = FastBankSched()
+    live: list[MemoryRequest] = []
     now = 0
     for _ in range(FUZZ_OPS):
         now += rng.randrange(1, 5)
         op = rng.random()
         if op < 0.5 or not live:
-            ra, rb = _twin_requests(rng, now)
-            if scheduler_name == "NFQ":
-                # The deadline stamp is part of the key; stamp the primary
-                # through the real hook and mirror it onto the twin.
-                scheduler.on_enqueue(ra, now)
-                rb.virtual_finish = ra.virtual_finish
-            elif scheduler_name == "PAR-BS":
-                ra.marked = rb.marked = rng.random() < 0.5
-            ref.add(ra)
-            ref.push(ra, scheduler)
-            fast.add(rb)
-            fast.push(rb, scheduler)
-            live.append((ra, rb))
+            request = _request(scheduler, rng, now)
+            kernel.add(request)
+            kernel.push(request, scheduler)
+            live.append(request)
         elif op < 0.85:
-            ra, rb = live.pop(rng.randrange(len(live)))
-            ref.remove(ra)
-            fast.remove(rb)
+            kernel.remove(live.pop(rng.randrange(len(live))))
         else:
             _mutate_priority_state(scheduler, rng, live, now)
-        _assert_observables_equal(ref, fast, scheduler)
-    # The mix must have actually exercised non-trivial occupancy.
-    assert now > 0 and (live or FUZZ_OPS > 0)
+        _assert_decisions_match(kernel, scheduler, live, now)
+    # The run must have exercised repacks and cached-minimum rebuilds.
+    assert scheduler.index_epoch > 0
+    assert kernel.min_rebuilds > 0
 
 
 @pytest.mark.parametrize("scheduler_name", SCHEDULER_NAMES)
@@ -162,29 +165,21 @@ def test_kernel_stale_array_removal(scheduler_name):
     drop the desynchronized key array rather than swap-pop the wrong slot."""
     scheduler = _attached_scheduler(scheduler_name)
     rng = random.Random(99)
-    fast = FastBankSched()
-    ref = BankReadIndex()
-    pairs = []
+    kernel = FastBankSched()
+    live = []
     for _ in range(6):
-        ra, rb = _twin_requests(rng, 1)
-        if scheduler_name == "NFQ":
-            scheduler.on_enqueue(ra, 1)
-            rb.virtual_finish = ra.virtual_finish
-        ref.add(ra), ref.push(ra, scheduler)
-        fast.add(rb), fast.push(rb, scheduler)
-        pairs.append((ra, rb))
-    _assert_observables_equal(ref, fast, scheduler)
+        request = _request(scheduler, rng, 1)
+        kernel.add(request)
+        kernel.push(request, scheduler)
+        live.append(request)
+    _assert_decisions_match(kernel, scheduler, live, 1)
     scheduler.bump_index_epoch(2)
-    ra, rb = _twin_requests(rng, 2)
-    if scheduler_name == "NFQ":
-        scheduler.on_enqueue(ra, 2)
-        rb.virtual_finish = ra.virtual_finish
-    ref.add(ra), ref.push(ra, scheduler)       # push skipped: stale epoch
-    fast.add(rb), fast.push(rb, scheduler)
-    victim_a, victim_b = pairs[2]
-    ref.remove(victim_a)
-    fast.remove(victim_b)                       # stale-array drop path
-    _assert_observables_equal(ref, fast, scheduler)
+    request = _request(scheduler, rng, 2)
+    kernel.add(request)
+    kernel.push(request, scheduler)  # push skipped: stale epoch
+    live.append(request)
+    kernel.remove(live.pop(2))  # stale-array drop path
+    _assert_decisions_match(kernel, scheduler, live, 2)
 
 
 # -- golden command streams -----------------------------------------------------
@@ -193,9 +188,39 @@ def test_kernel_stale_array_removal(scheduler_name):
 @pytest.mark.parametrize("scheduler", SCHEDULER_NAMES)
 def test_command_stream_golden(scheduler, cores, seed):
     """The packed-key kernel issues the exact same DRAM command stream as
-    the heap-indexed reference — entry by entry: (cycle, request id,
+    the python backend's ``select`` scans — entry by entry: (cycle, request id,
     thread, channel, bank, row, direction)."""
     reference = _run("python", scheduler, cores, seed)
     fast = _run("fast", scheduler, cores, seed)
     assert len(reference.controller.command_log) > 100
     assert fast.controller.command_log == reference.controller.command_log
+
+
+# -- scan-only policies ---------------------------------------------------------
+def _load_example(name: str):
+    path = Path(__file__).resolve().parents[1] / "examples" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"example_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("cores", [4, 8])
+def test_scan_only_policy_bit_identical(cores):
+    """A policy without ``pack_key`` — the round-robin example — runs on the
+    fast backend's scan branch, calling its ``select`` exactly where the
+    python backend does, and reproduces the python run bit for bit."""
+    policy = _load_example("custom_scheduler").ThreadRoundRobinScheduler
+    assert policy.pack_key is None
+    runs = []
+    for backend in ("python", "fast"):
+        system = System(
+            baseline_system(cores),
+            policy(cores),
+            list(_traces(cores, 0)),
+            backend=backend,
+        )
+        system.controller.command_log = []
+        system.run()
+        runs.append(system)
+    compare_systems(*runs)

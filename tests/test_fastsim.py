@@ -262,9 +262,9 @@ def test_compare_systems_requires_command_logs():
 # -- backend selection ---------------------------------------------------------
 def test_backend_env_knob(monkeypatch):
     monkeypatch.delenv("REPRO_BACKEND", raising=False)
-    assert backend_from_env() == "python"
-    monkeypatch.setenv("REPRO_BACKEND", "FAST")
     assert backend_from_env() == "fast"
+    monkeypatch.setenv("REPRO_BACKEND", "PYTHON")
+    assert backend_from_env() == "python"
     monkeypatch.setenv("REPRO_BACKEND", "warp")
     with pytest.raises(EnvKnobError):
         backend_from_env()

@@ -88,11 +88,11 @@ class DoubleIssuingScheduler(FrFcfsScheduler):
             self._replay = request
             self._armed = True
 
-    def select_indexed(self, index, bank, now, open_row):
+    def select(self, candidates, bank, now):
         if self._armed:
             self._armed = False
             return self._replay
-        return super().select_indexed(index, bank, now, open_row)
+        return super().select(candidates, bank, now)
 
 
 def test_double_issue_caught_with_context():

@@ -200,7 +200,9 @@ def test_trace_config_validates_interval():
 # ------------------------------------------------- end-to-end traced runs
 
 
-def _traced_system(ring, events=None, sample_interval=None, scheduler=None):
+def _traced_system(
+    ring, events=None, sample_interval=None, scheduler=None, backend="python"
+):
     config = baseline_system(len(WORKLOAD))
     runner = ExperimentRunner(
         config, instructions=INSTRUCTIONS, seed=0, cache_dir=None
@@ -214,7 +216,8 @@ def _traced_system(ring, events=None, sample_interval=None, scheduler=None):
     )
     scheduler = scheduler or make_scheduler("PAR-BS", len(WORKLOAD))
     system = System(
-        config, scheduler, traces, tracer=tracer, telemetry=telemetry
+        config, scheduler, traces, tracer=tracer, telemetry=telemetry,
+        backend=backend,
     )
     return system, scheduler, telemetry
 
@@ -268,8 +271,12 @@ def test_parbs_batch_events_match_live_batcher_state():
 
 
 def test_parbs_traced_run_emits_all_categories():
+    # The fast backend: only its packed-key kernel repacks keys, so only it
+    # emits ``sched.rqindex_rebuild``.
     ring = RingBufferSink()
-    system, scheduler, telemetry = _traced_system(ring, sample_interval=1000)
+    system, scheduler, telemetry = _traced_system(
+        ring, sample_interval=1000, backend="fast"
+    )
     system.run()
 
     kinds = {e["ev"] for e in ring}

@@ -7,7 +7,7 @@ from repro.core.batcher import OPPORTUNISTIC
 from repro.core.parbs import ParBsScheduler
 from repro.dram.controller import MemoryController
 from repro.dram.request import MemoryRequest
-from repro.dram.rqindex import BankReadIndex
+from repro.dram.buffers import BankReads
 from repro.events import EventQueue
 
 
@@ -111,7 +111,7 @@ def test_priorities_stamped_on_requests():
 
 
 def bank_index(*requests):
-    index = BankReadIndex()
+    index = BankReads()
     for r in requests:
         index.add(r)
     return index

@@ -1,29 +1,34 @@
-"""Tests for the incremental arbitration index (:mod:`repro.dram.rqindex`).
+"""Tests for the controller's request buffers and arbitration equivalence.
 
 Three layers:
 
-* unit tests for :class:`BankReadIndex` / :class:`WriteFifo` mechanics
-  (membership, lazy deletion, the epoch protocol);
-* controller-level tests for the wake bookkeeping and the ``verify``
-  arbitration mode's divergence detection;
+* unit tests for :class:`~repro.dram.buffers.BankReads` /
+  :class:`~repro.dram.buffers.WriteFifo` membership mechanics;
+* controller-level tests for the wake bookkeeping;
 * the golden equivalence harness: every scheduler the paper evaluates
   (plus the PAR-BS within-batch/batching ablations) run end-to-end on a
-  seeded 4-core workload under scan and index arbitration, asserting the
-  two produce bit-identical simulations.
+  seeded 4-core workload on the python backend, which arbitrates with each
+  policy's ``select`` scan, and on the fast backend, which answers from
+  packed keys; the two must produce bit-identical simulations.  The same
+  comparison must catch a policy whose ``select`` contradicts its
+  ``pack_key``.
 """
 
 import pytest
 
 from repro.config import DramConfig, baseline_system
 from repro.core.parbs import ParBsScheduler
+from repro.dram.buffers import BankReads, WriteFifo
 from repro.dram.controller import MemoryController
 from repro.dram.request import MemoryRequest, RequestType
-from repro.dram.rqindex import BankReadIndex, WriteFifo
-from repro.events import EventQueue, SimulationError
+from repro.events import EventQueue
+from repro.obs import Tracer
+from repro.obs.trace import RingBufferSink
 from repro.schedulers.frfcfs import FrFcfsScheduler
 from repro.sim.factory import make_scheduler
 from repro.sim.runner import ExperimentRunner
 from repro.sim.system import System
+from repro.sim.verify import BackendMismatch, compare_systems
 
 
 def read(thread=0, bank=0, row=0, arrival=0):
@@ -45,21 +50,11 @@ def write(thread=0, bank=0, row=0, arrival=0):
     return r
 
 
-class ArrivalKeys:
-    """Minimal stand-in for a scheduler in index unit tests."""
-
-    index_epoch = 0
-
-    @staticmethod
-    def index_key(r):
-        return (r.arrival_time, r.request_id)
-
-
-# --------------------------------------------------------- BankReadIndex
+# -------------------------------------------------------------- BankReads
 
 
 def test_membership_tracks_rows_threads_and_size():
-    index = BankReadIndex()
+    index = BankReads()
     a, b, c = read(thread=0, row=1), read(thread=1, row=1), read(thread=0, row=2)
     for r in (a, b, c):
         index.add(r)
@@ -79,69 +74,6 @@ def test_membership_tracks_rows_threads_and_size():
     index.remove(c)  # last request of row 2: bucket disappears
     assert sorted(index.rows) == [1]
     assert index.thread_counts == {1: 1}
-
-
-def test_peek_returns_minimum_live_entry_and_lazily_deletes():
-    scheduler = ArrivalKeys()
-    index = BankReadIndex()
-    old = read(row=1, arrival=0)
-    new = read(row=2, arrival=10)
-    index.add(old)
-    index.add(new)
-    index.ensure(scheduler)
-    assert index.peek()[1] is old
-    assert index.peek_row(2)[1] is new
-    index.remove(old)
-    # The dead heap entry is skipped (and popped) at the next peek.
-    assert index.peek()[1] is new
-    assert index.peek_row(1) is None
-    assert len(index.heap) == 1
-
-
-def test_push_keeps_fresh_heaps_incremental():
-    scheduler = ArrivalKeys()
-    index = BankReadIndex()
-    index.add(read(row=1, arrival=5))
-    index.ensure(scheduler)
-    urgent = read(row=1, arrival=1)
-    index.add(urgent)
-    index.push(urgent, scheduler)
-    assert index.peek()[1] is urgent
-    assert index.peek_row(1)[1] is urgent
-
-
-def test_stale_push_is_skipped_and_ensure_rebuilds():
-    scheduler = ArrivalKeys()
-    index = BankReadIndex()
-    index.add(read(row=1, arrival=5))
-    index.ensure(scheduler)
-
-    scheduler.index_epoch = 1  # global priority state changed
-    late = read(row=1, arrival=0)
-    index.add(late)
-    index.push(late, scheduler)
-    assert len(index.heap) == 1  # push skipped: heaps are stale anyway
-
-    index.ensure(scheduler)
-    assert index.heap_epoch == 1
-    assert len(index.heap) == 2
-    assert index.peek()[1] is late
-
-
-def test_emptied_row_bucket_drops_its_heap():
-    scheduler = ArrivalKeys()
-    index = BankReadIndex()
-    r = read(row=7)
-    index.add(r)
-    index.ensure(scheduler)
-    assert 7 in index.row_heaps
-    index.remove(r)
-    assert 7 not in index.row_heaps
-    # A later request to the same row starts a fresh bucket and heap.
-    fresh = read(row=7, arrival=99)
-    index.add(fresh)
-    index.push(fresh, scheduler)
-    assert index.peek_row(7)[1] is fresh
 
 
 # ------------------------------------------------------------- WriteFifo
@@ -167,11 +99,9 @@ def test_write_fifo_drains_oldest_first_with_lazy_deletion():
 # ------------------------------------------------- controller wake logic
 
 
-def make_controller(scheduler=None, **kwargs):
+def make_controller():
     queue = EventQueue()
-    controller = MemoryController(
-        queue, DramConfig(), scheduler or FrFcfsScheduler(), 4, **kwargs
-    )
+    controller = MemoryController(queue, DramConfig(), FrFcfsScheduler(), 4)
     return queue, controller
 
 
@@ -198,37 +128,6 @@ def test_earlier_wake_supersedes_later_one():
     assert controller._bank_wake == {}
 
 
-# ------------------------------------------------------------ verify mode
-
-
-class LyingFrFcfs(FrFcfsScheduler):
-    """Scan policy contradicting its own index key: newest-first."""
-
-    def select(self, candidates, bank, now):
-        return max(candidates, key=lambda r: r.request_id)
-
-
-def test_verify_mode_detects_divergence():
-    queue, controller = make_controller(
-        scheduler=LyingFrFcfs(), arbitration="verify"
-    )
-    controller.enqueue(read(row=1))
-    controller.enqueue(read(row=2))
-    with pytest.raises(SimulationError, match="divergence"):
-        queue.run()
-
-
-def test_verify_mode_passes_for_consistent_scheduler():
-    queue, controller = make_controller(arbitration="verify")
-    done = []
-    for row in (1, 2, 1, 3):
-        r = read(row=row)
-        r.on_complete = lambda _r: done.append(queue.now)
-        controller.enqueue(r)
-    queue.run()
-    assert len(done) == 4
-
-
 # ------------------------------------------------- golden equivalence
 
 
@@ -248,53 +147,66 @@ VARIANTS = {
 }
 
 
-def run_variant(make, arbitration):
+def run_variant(make, backend, tracer=None):
     config = baseline_system(len(WORKLOAD))
     runner = ExperimentRunner(
         config, instructions=INSTRUCTIONS, seed=0, cache_dir=None
     )
     traces = [runner.trace_for(b) for b in WORKLOAD]
-    system = System(config, make(), traces, arbitration=arbitration)
+    system = System(config, make(), traces, backend=backend, tracer=tracer)
+    system.controller.command_log = []
     system.run()
-    return snapshot(system)
-
-
-def snapshot(system):
-    """Everything observable: timing, event count, per-thread memory and
-    core statistics — any arbitration difference shows up in here."""
-    state = {
-        "cycles": system.queue.now,
-        "events": system.events_processed,
-    }
-    for thread_id, s in sorted(system.controller.thread_stats.items()):
-        state[thread_id] = (
-            s.reads,
-            s.writes,
-            s.row_hits,
-            s.row_conflicts,
-            s.latency_sum,
-            s.latency_max,
-            s.blp_integral,
-            s.busy_time,
-        )
-    for core in system.cores:
-        state[f"core{core.thread_id}"] = (
-            core.finish_time,
-            core.stall_cycles,
-            core.loads_issued,
-            core.stores_issued,
-            core.instructions_retired,
-        )
-    return state
+    return system
 
 
 @pytest.mark.parametrize("name", sorted(VARIANTS))
 def test_index_arbitration_matches_scan_bit_for_bit(name):
+    """The fast backend's packed-key decisions reproduce the python
+    backend's ``select`` scans: command stream, cycles, logical events,
+    final bank state, per-thread and per-core statistics."""
     make = VARIANTS[name]
-    assert run_variant(make, "index") == run_variant(make, "scan")
+    compare_systems(run_variant(make, "python"), run_variant(make, "fast"))
+
+
+class LyingFrFcfs(FrFcfsScheduler):
+    """Scan policy contradicting its own packed key: newest-first."""
+
+    def select(self, candidates, bank, now):
+        return max(candidates, key=lambda r: r.request_id)
+
+
+def test_verify_mode_detects_divergence():
+    make = LyingFrFcfs
+    with pytest.raises(BackendMismatch, match="diverge"):
+        compare_systems(run_variant(make, "python"), run_variant(make, "fast"))
+
+
+def test_verify_mode_passes_for_consistent_scheduler():
+    runner = ExperimentRunner(
+        baseline_system(len(WORKLOAD)),
+        instructions=INSTRUCTIONS,
+        seed=0,
+        cache_dir=None,
+        backend="verify",
+    )
+    # Raises BackendMismatch on any divergence between the two backends.
+    result = runner.run_workload(list(WORKLOAD), "FR-FCFS")
+    assert result.events_logical > 0
 
 
 def test_verify_mode_full_run_parbs():
-    """Both paths live side by side for a whole PAR-BS simulation."""
+    """Both backends side by side for a whole traced PAR-BS simulation: the
+    python reference's event stream equals the fast backend's once the fast
+    kernel's own key-repack events are set aside."""
     make = VARIANTS["PAR-BS"]
-    assert run_variant(make, "verify") == run_variant(make, "scan")
+    streams = {}
+    for backend in ("python", "fast"):
+        ring = RingBufferSink()
+        run_variant(make, backend, tracer=Tracer([ring]))
+        streams[backend] = list(ring)
+    rebuilds = [e for e in streams["fast"] if e["ev"] == "sched.rqindex_rebuild"]
+    assert rebuilds
+    assert not any(e["ev"] == "sched.rqindex_rebuild" for e in streams["python"])
+    assert streams["python"] == [
+        e for e in streams["fast"] if e["ev"] != "sched.rqindex_rebuild"
+    ]
