@@ -9,6 +9,12 @@ every distributed ``campaign work`` process runs.  A plain
 ``campaign work`` processes at the same database and they share the grid
 through the queue with no orchestrator involvement.
 
+With more than one worker and the disk cache on, the run first computes
+the alone-run baselines its missing jobs need, across the same worker
+count (:func:`repro.sim.pool.warm_baselines`), so the drain's workers
+read them from the cache instead of each recomputing them.  Baselines
+already cached are only checked; a warm cache forks nothing for them.
+
 Each completion is committed to the store in its own (fenced)
 transaction *as it arrives*, so a ``Ctrl-C``, crash or machine reboot
 mid-grid loses at most the simulations that were in flight; re-running
@@ -29,7 +35,6 @@ import logging
 import os
 from dataclasses import dataclass
 
-from ..config import baseline_system
 from ..guard.chaos import ChaosPlan, chaos_from_env
 from ..metrics.summary import WorkloadResult
 from ..obs.config import TraceConfig
@@ -40,7 +45,7 @@ from ..sim.diskcache import DiskCache, cache_enabled, default_cache_dir
 from .manifest import build_manifest
 from .spec import CampaignJob, CampaignSpec
 from .store import ResultStore
-from .worker import drain_campaign
+from .worker import drain_campaign, sim_job
 
 __all__ = ["RunStats", "run_campaign", "run_and_collect"]
 
@@ -68,31 +73,6 @@ class RunStats:
             f"skipped={self.skipped} failed={self.failed} "
             f"deferred={self.deferred}"
         )
-
-
-def _prewarm_baselines(to_run: list[CampaignJob], trace: TraceConfig) -> None:
-    """One serial pass computing alone-run baselines into the disk cache.
-
-    Same rationale as :meth:`ExperimentRunner.run_many`: without this,
-    every worker would recompute the same single-core baselines.
-    """
-    from ..sim.runner import ExperimentRunner
-
-    runners: dict[tuple, ExperimentRunner] = {}
-    for job in to_run:
-        key = (job.num_cores, job.seed, job.instructions, job.trace_files, job.decoder)
-        runner = runners.get(key)
-        if runner is None:
-            runner = runners[key] = ExperimentRunner(
-                baseline_system(job.num_cores),
-                instructions=job.instructions,
-                seed=job.seed,
-                trace=TraceConfig(),  # baselines are never traced
-                trace_files=dict(job.trace_files),
-                decoder=job.decoder,
-            )
-        for benchmark in set(job.workload):
-            runner.alone(benchmark)
 
 
 def run_campaign(
@@ -195,8 +175,10 @@ def run_campaign(
             # Corrupt selected cache entries up front so the quarantine +
             # recompute path runs under this campaign, not a later one.
             chaos.corrupt_cache(DiskCache(cache_dir))
-    if workers > 1 and cache_dir is not None:
-        _prewarm_baselines(to_run, trace)
+    if workers > 1:
+        pool.warm_baselines(
+            [sim_job(job, trace, cache_dir) for job in to_run], workers
+        )
 
     def on_done(
         job: CampaignJob,

@@ -97,13 +97,15 @@ class Lease:
 
     ``attempt`` is the fencing token: the job's ``lease_seq`` at claim
     time.  Completion/renewal succeed only while the (worker_id, attempt)
-    pair matches the live lease row.
+    pair matches the live lease row.  ``reclaimed`` marks a claim that
+    took the job over from an expired lease.
     """
 
     key: str
     worker_id: str
     attempt: int
     deadline: float
+    reclaimed: bool = False
 
 
 def _worker_id() -> str:
@@ -184,7 +186,8 @@ class LeaseQueue:
 
         Runnable means: registered, not ``done``, and carrying no live
         lease.  An *expired* lease on a key is reclaimed in the same
-        transaction (its job is re-issued to this worker).  Every claim
+        transaction (its job is re-issued to this worker, and the lease
+        is marked ``reclaimed``).  Every claim
         raises the job's ``lease_seq`` by one: the new value is the
         lease's fencing token.  ``keys`` is read in chunks — starting
         small when ``limit`` is set, so a one-job claim whose first keys
@@ -235,7 +238,13 @@ class LeaseQueue:
                         stale.append(lease_row)
                     seen.add(key)
                     taken.append(
-                        Lease(key, self.worker_id, int(job["lease_seq"]) + 1, deadline)
+                        Lease(
+                            key,
+                            self.worker_id,
+                            int(job["lease_seq"]) + 1,
+                            deadline,
+                            reclaimed=lease_row is not None,
+                        )
                     )
                     if limit is not None and len(leases) + len(taken) >= limit:
                         break

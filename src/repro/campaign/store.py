@@ -202,12 +202,23 @@ class ResultStore:
             Path(raw).parent.mkdir(parents=True, exist_ok=True)
         self._conn = sqlite3.connect(raw)
         self._conn.row_factory = sqlite3.Row
-        self._conn.execute("PRAGMA journal_mode=WAL")
-        self._conn.execute("PRAGMA synchronous=NORMAL")
         busy_s = read_float(
             "REPRO_STORE_BUSY_TIMEOUT_S", _BUSY_TIMEOUT_DEFAULT_S, floor=0.0
         )
         self._conn.execute(f"PRAGMA busy_timeout={int(busy_s * 1000)}")
+        # Switching a fresh file to WAL needs an exclusive lock, and SQLite
+        # fails a concurrent opener's switch at once ("database is locked")
+        # instead of waiting on the busy handler: retry within the timeout.
+        deadline = time.monotonic() + busy_s
+        while True:
+            try:
+                self._conn.execute("PRAGMA journal_mode=WAL")
+                break
+            except sqlite3.OperationalError:
+                if time.monotonic() >= deadline:
+                    raise
+                time.sleep(0.01)
+        self._conn.execute("PRAGMA synchronous=NORMAL")
         self._conn.execute("PRAGMA foreign_keys=ON")
         self._migrate()
 

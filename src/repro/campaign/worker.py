@@ -90,7 +90,8 @@ class _Callbacks:
     on_foreign: Callable[[CampaignJob, str], None] | None = None
 
 
-def _sim_job(job: CampaignJob, trace: TraceConfig, cache_dir: str | None) -> SimJob:
+def sim_job(job: CampaignJob, trace: TraceConfig, cache_dir: str | None) -> SimJob:
+    """The picklable pool description of one grid cell."""
     return SimJob(
         config=baseline_system(job.num_cores),
         workload=job.workload,
@@ -271,7 +272,7 @@ class _Drain:
         """Execute one claimed job with local retries, heartbeats, and a
         fenced commit.  Resolves the key unless the lease was lost."""
         job = self.by_key[lease.key]
-        sim = _sim_job(job, self.trace, self.cache_dir)
+        sim = sim_job(job, self.trace, self.cache_dir)
         frozen = self.chaos is not None and self.chaos.freeze_heartbeats(lease.key)
         if frozen:
             logger.warning(
@@ -331,6 +332,7 @@ class _Drain:
             if lease is not None:
                 idle_logged = False
                 self.stats.claimed += 1
+                self.stats.reclaimed += lease.reclaimed
                 self._run_leased(lease)
                 continue
             # Everything left is done (settled next pass) or leased to a
@@ -357,6 +359,7 @@ class _Drain:
     def _claim_all(self) -> dict[str, Lease]:
         leases = self.queue.claim(self.unresolved)
         self.stats.claimed += len(leases)
+        self.stats.reclaimed += sum(lease.reclaimed for lease in leases)
         return {lease.key: lease for lease in leases}
 
     def _renew_held(self, held: dict[str, Lease], frozen: set[str]) -> list[str]:
@@ -432,7 +435,7 @@ class _Drain:
                 try:
                     future = executor.submit(
                         pool.run_job_timed,
-                        _sim_job(job, self.trace, self.cache_dir),
+                        sim_job(job, self.trace, self.cache_dir),
                     )
                 except BrokenProcessPool:
                     requeue.append((key, attempt))

@@ -297,6 +297,7 @@ def write_chrome_trace(
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="\n") as fh:
-        json.dump(chrome_trace(events, cycles_per_us), fh, separators=(",", ":"))
+        trace = chrome_trace(events, cycles_per_us)
+        fh.write(json.dumps(trace, separators=(",", ":")))
         fh.write("\n")
     return path

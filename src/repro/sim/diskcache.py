@@ -176,7 +176,9 @@ class DiskCache:
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as fh:
-                json.dump(value, fh, separators=(",", ":"))
+                # One dumps() call runs the C encoder; dump() streams
+                # through the pure-Python one.  The bytes are identical.
+                fh.write(json.dumps(value, separators=(",", ":")))
             os.replace(tmp, path)
         except BaseException:
             try:

@@ -29,7 +29,12 @@ from __future__ import annotations
 import logging
 import os
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    ProcessPoolExecutor,
+    as_completed,
+    wait,
+)
 from contextlib import contextmanager
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
@@ -39,7 +44,7 @@ from ..config import SystemConfig
 from ..envknobs import read_int, read_optional_float
 from ..guard.chaos import ChaosInjectedError, chaos_from_env
 from ..obs.config import TraceConfig
-from .diskcache import GLOBAL_STATS, content_key
+from .diskcache import GLOBAL_STATS, DiskCache, content_key
 from .verify import backend_from_env
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -58,6 +63,7 @@ __all__ = [
     "run_jobs",
     "sim_progress",
     "terminate_pool",
+    "warm_baselines",
 ]
 
 logger = logging.getLogger(__name__)
@@ -142,26 +148,29 @@ class SimJob:
 _WORKER_RUNNERS: dict[str, "ExperimentRunner"] = {}
 
 
-def _runner_for(job: SimJob) -> "ExperimentRunner":
+def _new_runner(job: SimJob) -> "ExperimentRunner":
     from .runner import ExperimentRunner
 
+    return ExperimentRunner(
+        job.config,
+        instructions=job.instructions or None,
+        seed=job.seed,
+        jobs=1,  # workers never fan out further
+        cache_dir=job.cache_dir,
+        # An unset trace field means "off", not "resolve from env":
+        # the submitting runner already resolved the environment.
+        trace=job.trace if job.trace is not None else TraceConfig(),
+        backend=job.backend,
+        trace_files=dict(job.trace_files),
+        decoder=job.decoder,
+    )
+
+
+def _runner_for(job: SimJob) -> "ExperimentRunner":
     key = job.runner_key()
     runner = _WORKER_RUNNERS.get(key)
     if runner is None:
-        runner = ExperimentRunner(
-            job.config,
-            instructions=job.instructions or None,
-            seed=job.seed,
-            jobs=1,  # workers never fan out further
-            cache_dir=job.cache_dir,
-            # An unset trace field means "off", not "resolve from env":
-            # the submitting runner already resolved the environment.
-            trace=job.trace if job.trace is not None else TraceConfig(),
-            backend=job.backend,
-            trace_files=dict(job.trace_files),
-            decoder=job.decoder,
-        )
-        _WORKER_RUNNERS[key] = runner
+        runner = _WORKER_RUNNERS[key] = _new_runner(job)
     return runner
 
 
@@ -275,6 +284,95 @@ def run_jobs(
     results = _run_pool(jobs, workers, job_timeout_s)
     _log_cache_report()
     return results
+
+
+def _warm_alone(job: SimJob, benchmark: str) -> dict[str, int]:
+    """Compute one alone-run baseline of ``job``'s parameterization into
+    the disk cache; returns the task's disk-cache counter deltas."""
+    runner = _runner_for(job)
+    disk = runner.disk_cache
+    assert disk is not None
+    before = disk.stats()
+    runner.alone(benchmark)
+    return {name: count - before[name] for name, count in disk.stats().items()}
+
+
+def warm_baselines(
+    jobs: Sequence[SimJob],
+    workers: int,
+    runner: "ExperimentRunner | None" = None,
+) -> None:
+    """Compute the alone-run baselines ``jobs`` need into the disk cache,
+    spread over ``workers`` processes, before the jobs themselves run.
+
+    The jobs of a batch read the same single-core baselines; without
+    this, each worker would recompute them.  Jobs with one
+    parameterization share baselines.  This process checks the disk
+    cache for each distinct one, through ``runner`` (the calling runner,
+    whose parameterization every job shares) or else a fresh runner per
+    parameterization, and sends only the missing ones to a short-lived
+    pool, so a warm cache forks nothing.  Each task's cache counters are
+    added to the checking runner's cache and to ``GLOBAL_STATS``.
+
+    A baseline's own exception propagates unchanged.  A broken pool (a
+    worker died) is logged and tolerated: the jobs then compute any
+    baseline still missing under their own retry and incident handling.
+    Jobs without a disk cache have nothing to share and are skipped.
+    """
+    groups: dict[tuple, tuple[SimJob, dict[str, None]]] = {}
+    for job in jobs:
+        if job.cache_dir is None:
+            continue
+        key = (
+            job.config,
+            job.instructions,
+            job.seed,
+            job.cache_dir,
+            job.backend,
+            job.trace_files,
+            job.decoder,
+        )
+        groups.setdefault(key, (job, {}))[1].update(dict.fromkeys(job.workload))
+    missing: list[tuple[SimJob, str, DiskCache]] = []
+    for job, benchmarks in groups.values():
+        checker = runner if runner is not None else _new_runner(job)
+        disk = checker.disk_cache
+        assert disk is not None
+        missing.extend(
+            (job, benchmark, disk)
+            for benchmark in benchmarks
+            if checker.cached_alone(benchmark) is None
+        )
+    if not missing:
+        return
+    logger.info(
+        "computing %d alone baselines over %d worker processes",
+        len(missing),
+        min(workers, len(missing)),
+    )
+    preload_simulator(missing[0][0].backend)
+    executor = ProcessPoolExecutor(max_workers=min(workers, len(missing)))
+    try:
+        futures = {
+            executor.submit(_warm_alone, job, benchmark): disk
+            for job, benchmark, disk in missing
+        }
+        for future in as_completed(futures):
+            disk = futures[future]
+            for name, delta in future.result().items():
+                setattr(disk, name, getattr(disk, name) + delta)
+                GLOBAL_STATS[name] += delta
+    except BrokenProcessPool as exc:
+        terminate_pool(executor)
+        logger.warning(
+            "baseline pool broke (%s); jobs compute missing baselines themselves",
+            exc,
+        )
+        return
+    except BaseException:
+        terminate_pool(executor)
+        raise
+    executor.shutdown()
 
 
 class _PoolIncident(Exception):

@@ -343,6 +343,16 @@ class ExperimentRunner:
             ]
         )
 
+    def cached_alone(self, benchmark: str) -> AloneStats | None:
+        """The alone-run baseline from memory or the disk cache, or
+        ``None`` when it still has to be computed."""
+        stats = self._alone_cache.get(benchmark)
+        if stats is None and self._disk is not None:
+            cached = self._disk.get("alone", self._alone_key(benchmark))
+            if cached is not None:
+                stats = self._alone_cache[benchmark] = AloneStats(**cached)
+        return stats
+
     def alone(self, benchmark: str) -> AloneStats:
         """Alone-run statistics (cached in memory and on disk).
 
@@ -350,15 +360,9 @@ class ExperimentRunner:
         is bit-identical to a freshly computed one — the parallel engine
         relies on this for serial/parallel equivalence.
         """
-        if benchmark in self._alone_cache:
-            return self._alone_cache[benchmark]
-        disk_key = self._alone_key(benchmark) if self._disk else ""
-        if self._disk is not None:
-            cached = self._disk.get("alone", disk_key)
-            if cached is not None:
-                stats = AloneStats(**cached)
-                self._alone_cache[benchmark] = stats
-                return stats
+        stats = self.cached_alone(benchmark)
+        if stats is not None:
+            return stats
         trace = self.trace_for(benchmark, 0)
         # One core, but the *same* memory system as the shared runs
         # ("running alone on the same system", Section 7.1).  The alone
@@ -393,7 +397,7 @@ class ExperimentRunner:
             cycles=snap.cycles,
         )
         if self._disk is not None:
-            self._disk.put("alone", disk_key, asdict(stats))
+            self._disk.put("alone", self._alone_key(benchmark), asdict(stats))
         self._alone_cache[benchmark] = stats
         return stats
 
@@ -628,8 +632,11 @@ class ExperimentRunner:
 
         Results come back in spec order and are bit-identical to running
         the same specs serially: every simulation is a pure function of
-        its description, and alone-run baselines are pre-warmed into the
-        shared on-disk cache so every worker reads the same values.
+        its description, and alone-run baselines are warmed into the
+        shared on-disk cache first so every worker reads the same values.
+        The missing baselines run across the same ``jobs`` workers
+        (:func:`~repro.sim.pool.warm_baselines`); a warm cache forks
+        nothing for them.
         """
         specs = list(specs)
         workers = self.effective_jobs(jobs)
@@ -639,18 +646,8 @@ class ExperimentRunner:
                 for workload, name, kwargs in specs
             ]
 
-        from .pool import SimJob, run_jobs
+        from .pool import SimJob, run_jobs, warm_baselines
 
-        if self._disk is not None:
-            # Pre-warm alone baselines (one serial pass over the unique
-            # benchmarks) so workers hit the disk cache instead of each
-            # recomputing the same single-core runs.
-            seen: set[str] = set()
-            for workload, _name, _kwargs in specs:
-                for benchmark in workload:
-                    if benchmark not in seen:
-                        seen.add(benchmark)
-                        self.alone(benchmark)
         sim_jobs = [
             SimJob(
                 config=self.config,
@@ -667,6 +664,7 @@ class ExperimentRunner:
             )
             for workload, name, kwargs in specs
         ]
+        warm_baselines(sim_jobs, workers, runner=self)
         return run_jobs(sim_jobs, workers)
 
     def cache_report(self) -> str:

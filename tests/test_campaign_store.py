@@ -1,6 +1,7 @@
 """Tests for the SQLite result store: round-trips, migrations, sharing."""
 
 import sqlite3
+import threading
 
 import pytest
 
@@ -218,6 +219,32 @@ def test_newer_schema_refused(tmp_path):
 def test_fresh_db_is_current_version(tmp_path):
     with ResultStore(tmp_path / "new.sqlite") as store:
         assert store.schema_version() == SCHEMA_VERSION
+
+
+def test_concurrent_first_opens_of_one_store(tmp_path):
+    """Workers pointed at one new database race to switch it to WAL;
+    SQLite fails the losers at once instead of waiting, so every open
+    must retry rather than raise "database is locked"."""
+    errors: list[BaseException] = []
+
+    def open_store(path) -> None:
+        try:
+            with ResultStore(path) as store:
+                assert store.schema_version() == SCHEMA_VERSION
+        except Exception as exc:  # noqa: BLE001 - collected for the assert
+            errors.append(exc)
+
+    for round_ in range(100):
+        path = tmp_path / f"race{round_}.sqlite"
+        threads = [
+            threading.Thread(target=open_store, args=(path,)) for _ in range(3)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+    assert errors == []
 
 
 # -- default path -------------------------------------------------------------

@@ -166,6 +166,7 @@ def test_expired_lease_is_reclaimed_and_reissued(store):
     assert regained is not None
     assert regained.key == lost.key
     assert regained.attempt == lost.attempt + 1  # fencing token advanced
+    assert regained.reclaimed and not lost.reclaimed
     assert QUEUE_STATS["leases_reclaimed"] == before + 1
     assert store.reclaim_count(fp) == 1
 

@@ -1,0 +1,219 @@
+"""Alone-run baselines warmed across the worker pool.
+
+:func:`repro.sim.pool.warm_baselines` computes the baselines a batch of
+jobs needs before the jobs run: the caller checks the disk cache, and
+only the missing baselines go to a short-lived pool of the run's worker
+count.  These tests pin what that must preserve:
+
+* each distinct baseline is computed and written once, and the results
+  equal the serial ones, on ``run_many`` and on ``run_campaign``;
+* a warm cache forks nothing;
+* a warm worker that dies costs nothing but time;
+* a baseline's own exception surfaces as it does on the serial path.
+"""
+
+from __future__ import annotations
+
+import os
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+from repro.campaign.orchestrator import run_campaign
+from repro.campaign.report import export_text
+from repro.campaign.spec import CampaignSpec, Variant
+from repro.campaign.store import ResultStore
+from repro.config import baseline_system
+from repro.sim import diskcache, pool
+from repro.sim.diskcache import DiskCache
+from repro.sim.runner import ExperimentRunner
+
+INSTRUCTIONS = 10_000
+WORKLOAD = ["mcf", "libquantum", "omnetpp", "hmmer"]
+SCHEDULERS = ["FR-FCFS", "PAR-BS"]
+
+
+def _spec() -> CampaignSpec:
+    return CampaignSpec(
+        name="warm",
+        variants=(Variant("FCFS", "FCFS"), Variant("FR-FCFS", "FR-FCFS")),
+        mix_count=2,
+        instructions=INSTRUCTIONS,
+    )
+
+
+@pytest.fixture(scope="module")
+def golden_csv(tmp_path_factory):
+    """The serial campaign's CSV export, run without a disk cache."""
+    spec = _spec()
+    with pytest.MonkeyPatch.context() as mp, ResultStore(
+        tmp_path_factory.mktemp("golden") / "serial.sqlite"
+    ) as store:
+        mp.setenv("REPRO_CACHE", "0")
+        run_campaign(spec, store, jobs=1)
+        return export_text(spec, store, fmt="csv")
+
+
+def _runner(cache_dir) -> ExperimentRunner:
+    return ExperimentRunner(
+        baseline_system(4), instructions=INSTRUCTIONS, cache_dir=cache_dir
+    )
+
+
+def _sim_jobs(runner: ExperimentRunner) -> list[pool.SimJob]:
+    return [
+        pool.SimJob(
+            config=runner.config,
+            workload=tuple(WORKLOAD),
+            scheduler=name,
+            instructions=runner.instructions,
+            seed=runner.seed,
+            cache_dir=runner.cache_dir,
+            backend=runner.backend,
+        )
+        for name in SCHEDULERS
+    ]
+
+
+@pytest.fixture
+def put_log(tmp_path, monkeypatch):
+    """Record every disk-cache write as one ``kind key`` line, from this
+    process and from every worker forked while the patch is in place."""
+    log = tmp_path / "puts.log"
+    real_put = DiskCache.put
+
+    def put(self, kind, key, value):
+        real_put(self, kind, key, value)
+        fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+        try:
+            os.write(fd, f"{kind} {key}\n".encode())
+        finally:
+            os.close(fd)
+
+    monkeypatch.setattr(DiskCache, "put", put)
+
+    def alone_writes() -> Counter:
+        if not log.exists():
+            return Counter()
+        return Counter(
+            key
+            for kind, key in (line.split() for line in log.read_text().splitlines())
+            if kind == "alone"
+        )
+
+    return alone_writes
+
+
+def _alone_files(cache_dir: Path) -> list[Path]:
+    return sorted((cache_dir / "alone").glob("*.json"))
+
+
+def test_run_many_writes_each_baseline_once(tmp_path, put_log):
+    serial = ExperimentRunner(
+        baseline_system(4), instructions=INSTRUCTIONS, jobs=1, cache_dir=None
+    ).compare_schedulers(WORKLOAD, SCHEDULERS)
+    cache_dir = tmp_path / "cache"
+    runner = _runner(cache_dir)
+    parallel = runner.compare_schedulers(WORKLOAD, SCHEDULERS, jobs=2)
+    assert parallel == serial
+    files = _alone_files(cache_dir)
+    assert len(files) == len(set(WORKLOAD))
+    writes = put_log()
+    assert sorted(writes) == [path.stem for path in files]
+    assert set(writes.values()) == {1}
+    # The warm workers' cache traffic is credited to the calling runner.
+    stats = runner.disk_cache.stats()
+    assert stats["misses"] >= len(set(WORKLOAD))
+    assert stats["writes"] >= len(set(WORKLOAD))
+
+
+def test_run_campaign_writes_each_baseline_once(
+    tmp_path, monkeypatch, put_log, golden_csv
+):
+    spec = _spec()
+    cache_dir = tmp_path / "cache"
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(cache_dir))
+    with ResultStore(tmp_path / "parallel.sqlite") as store:
+        stats = run_campaign(spec, store, jobs=2)
+        assert (stats.ran, stats.failed) == (4, 0)
+        assert export_text(spec, store, fmt="csv") == golden_csv
+    benchmarks = {b for job in spec.expand() for b in job.workload}
+    files = _alone_files(cache_dir)
+    assert len(files) == len(benchmarks)
+    writes = put_log()
+    assert sorted(writes) == [path.stem for path in files]
+    assert set(writes.values()) == {1}
+
+
+class _NoExecutor:
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("a warm cache must not start a pool")
+
+
+@pytest.mark.parametrize("calling_runner", [True, False])
+def test_warm_cache_forks_nothing(tmp_path, monkeypatch, calling_runner):
+    runner = _runner(tmp_path / "cache")
+    for benchmark in WORKLOAD:
+        runner.alone(benchmark)
+    checker = _runner(tmp_path / "cache")
+    monkeypatch.setattr(pool, "ProcessPoolExecutor", _NoExecutor)
+    pool.warm_baselines(
+        _sim_jobs(checker), 2, runner=checker if calling_runner else None
+    )
+    if calling_runner:
+        assert checker.disk_cache.stats()["hits"] == len(WORKLOAD)
+
+
+def _exit_warm(job, benchmark):
+    os._exit(3)
+
+
+def test_dead_warm_worker_is_tolerated(tmp_path, monkeypatch, caplog, golden_csv):
+    spec = _spec()
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    monkeypatch.setattr(pool, "_warm_alone", _exit_warm)
+    with ResultStore(tmp_path / "parallel.sqlite") as store:
+        stats = run_campaign(spec, store, jobs=2)
+        assert (stats.ran, stats.failed) == (4, 0)
+        assert export_text(spec, store, fmt="csv") == golden_csv
+    assert "baseline pool broke" in caplog.text
+
+
+class BaselineError(RuntimeError):
+    pass
+
+
+def _raising_alone(self, benchmark):
+    raise BaselineError(benchmark)
+
+
+def test_baseline_exception_propagates_like_serial(tmp_path, monkeypatch):
+    monkeypatch.setattr(ExperimentRunner, "alone", _raising_alone)
+    specs = [(WORKLOAD, name, {}) for name in SCHEDULERS]
+    with pytest.raises(BaselineError):
+        _runner(tmp_path / "serial").run_many(specs, jobs=1)
+    with pytest.raises(BaselineError):
+        _runner(tmp_path / "parallel").run_many(specs, jobs=2)
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "campaign"))
+    with ResultStore(tmp_path / "db.sqlite") as store:
+        with pytest.raises(BaselineError):
+            run_campaign(_spec(), store, jobs=2)
+
+
+def test_warm_counters_reach_global_stats(tmp_path):
+    before = dict(diskcache.GLOBAL_STATS)
+    runner = _runner(tmp_path / "cache")
+    pool.warm_baselines(_sim_jobs(runner), 2, runner=runner)
+    after = diskcache.GLOBAL_STATS
+    # Each baseline: one miss in the parent's check, one in the worker's
+    # alone() and one on its trace; two writes (trace and baseline).
+    count = len(WORKLOAD)
+    assert after["misses"] - before["misses"] == 3 * count
+    assert after["writes"] - before["writes"] == 2 * count
+    assert runner.disk_cache.stats() == {
+        "hits": 0,
+        "misses": 3 * count,
+        "writes": 2 * count,
+        "quarantined": 0,
+    }

@@ -22,6 +22,7 @@ import time
 
 import pytest
 
+from repro.campaign.queue import LeaseQueue
 from repro.campaign.report import export_text
 from repro.campaign.spec import CampaignSpec, Variant
 from repro.campaign.store import ResultStore
@@ -102,6 +103,40 @@ def test_leasekill_chaos_is_retried_in_process(tmp_path, golden):
         assert stats.failed == 0
         assert stats.retried == len(spec.expand())  # one fault per job
         assert export_text(spec, store, fmt="csv") == golden
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_claim_that_takes_over_an_expired_lease_counts_as_reclaimed(
+    tmp_path, monkeypatch, jobs
+):
+    """A peer's lease can expire between a drain's reclaim pass and its
+    claim; the claim then takes the job over itself, and the drain must
+    credit that to ``reclaimed`` like a reclaim-pass takeover."""
+    spec = _spec(mix_count=1)
+    keys = [job.key for job in spec.expand()]
+    now = [1000.0]
+
+    def clock() -> float:
+        return now[0]
+
+    real_reclaim = LeaseQueue.reclaim_expired
+
+    def reclaim_then_expire(queue):
+        reclaimed = real_reclaim(queue)
+        now[0] += 10.0  # the dead peer's lease runs out right after
+        return reclaimed
+
+    with ResultStore(tmp_path / "db.sqlite") as store:
+        store.register(spec, spec.expand())
+        dead = LeaseQueue(
+            store, spec.fingerprint(), worker_id="dead", lease_s=5.0, clock=clock
+        )
+        assert dead.claim_next(keys[:1]) is not None
+        monkeypatch.setattr(LeaseQueue, "reclaim_expired", reclaim_then_expire)
+        stats = drain_campaign(
+            spec, store, worker_id="rescuer", jobs=jobs, lease_s=5.0, clock=clock
+        )
+    assert (stats.reclaimed, stats.completed) == (1, len(keys))
 
 
 def test_frozen_worker_is_fenced_and_peer_wins(tmp_path):
