@@ -235,13 +235,17 @@ class ResultStore:
     # -- schema --------------------------------------------------------------
     def schema_version(self) -> int:
         row = self._conn.execute("SELECT version FROM schema_version").fetchone()
-        return int(row["version"])
+        return int(row["version"]) if row is not None else 0
 
     def _migrate(self) -> None:
         conn = self._conn
         conn.execute(
             "CREATE TABLE IF NOT EXISTS schema_version (version INTEGER NOT NULL)"
         )
+        # An up-to-date store needs no write lock, so a worker joining a
+        # busy shared store does not queue behind its peers' commits.
+        if self.schema_version() == SCHEMA_VERSION:
+            return
         # Concurrent openers of a fresh (or stale) database race to apply
         # the same DDL — N ``campaign work`` processes pointed at one new
         # shared store all arrive here at once.  BEGIN IMMEDIATE takes the
@@ -250,8 +254,7 @@ class ResultStore:
         # finished schema and fall through.
         conn.execute("BEGIN IMMEDIATE")
         try:
-            row = conn.execute("SELECT version FROM schema_version").fetchone()
-            current = int(row["version"]) if row is not None else 0
+            current = self.schema_version()
             if current > SCHEMA_VERSION:
                 raise RuntimeError(
                     f"campaign database {self.path!r} has schema v{current}, "
@@ -261,16 +264,11 @@ class ResultStore:
                 for version in range(current + 1, SCHEMA_VERSION + 1):
                     for statement in _MIGRATIONS[version]:
                         conn.execute(statement)
-                if row is None:
-                    conn.execute(
-                        "INSERT INTO schema_version (version) VALUES (?)",
-                        (SCHEMA_VERSION,),
-                    )
-                else:
-                    conn.execute(
-                        "UPDATE schema_version SET version = ?",
-                        (SCHEMA_VERSION,),
-                    )
+                conn.execute("DELETE FROM schema_version")
+                conn.execute(
+                    "INSERT INTO schema_version (version) VALUES (?)",
+                    (SCHEMA_VERSION,),
+                )
             conn.execute("COMMIT")
         except BaseException:
             if conn.in_transaction:
@@ -283,10 +281,21 @@ class ResultStore:
 
         Existing job rows (including completed ones) are left untouched —
         that is the resume contract.  Returns the number of newly inserted
-        jobs.
+        jobs.  A campaign already registered in full is only read, so a
+        resume or a late worker takes no write lock here.
         """
         fingerprint = spec.fingerprint()
         conn = self._conn
+        row = conn.execute(
+            "SELECT name FROM campaigns WHERE fingerprint = ?", (fingerprint,)
+        ).fetchone()
+        if (
+            row is not None
+            and row["name"] == spec.name
+            and len(self.statuses(job.key for job in jobs))
+            == len({job.key for job in jobs})
+        ):
+            return 0
         with conn:
             conn.execute(
                 "INSERT INTO campaigns (fingerprint, name, spec_json, instructions) "

@@ -21,17 +21,18 @@ dead and its job reclaimed, the commit is rejected and the job's fate
 belongs to the reclaiming peer (``lost`` in :class:`WorkerStats`).
 
 Job-level failures are retried locally with capped exponential backoff
-(``retries`` attempts, exactly the old orchestrator semantics); pool
-generations, no-progress timeouts, respawns and the serial fallback are
-ported intact from the pre-queue orchestrator for ``jobs > 1``.
+(``retries`` attempts, one policy for the serial and the pool drain).
+With ``jobs > 1`` the claimed batch runs through the shared process-pool
+executor (:func:`repro.sim.pool.run_tasks`), which owns the pool
+generations, no-progress timeouts, respawns and the in-process fallback;
+this module supplies the fenced commit, the retry policy, lease renewal
+as the executor's beat, and the release of held leases on ``Ctrl-C``.
 """
 
 from __future__ import annotations
 
 import logging
 import time
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -41,7 +42,7 @@ from ..metrics.summary import WorkloadResult
 from ..obs.config import TraceConfig
 from ..obs.metrics import metrics_from_env
 from ..sim import pool
-from ..sim.pool import POOL_INCIDENT_LIMIT, SimJob, terminate_pool
+from ..sim.pool import SimJob
 from .queue import Lease, LeaseQueue, default_heartbeat_s
 from .spec import CampaignJob, CampaignSpec
 from .store import ResultStore
@@ -228,11 +229,26 @@ class _Drain:
             self.cb.on_failed(self.by_key[lease.key], error, attempt)
         self._resolve(lease.key)
 
-    def _retrying(self, key: str, attempt: int) -> None:
+    def _after_error(
+        self, lease: Lease, error: BaseException, attempt: int
+    ) -> Lease | None:
+        """A job attempt raised: give up once ``retries`` are spent, else
+        back off and renew the lease.  Returns the lease to retry under,
+        or None when the job is failed or no longer ours."""
+        if attempt >= self.retries:
+            self._give_up(lease, error, attempt)
+            return None
         self.stats.retried += 1
-        self.store.record_progress(key, attempt, None, "retrying")
+        self.store.record_progress(lease.key, attempt, None, "retrying")
         if self.cb.on_retrying is not None:
-            self.cb.on_retrying(self.by_key[key], attempt)
+            self.cb.on_retrying(self.by_key[lease.key], attempt)
+        time.sleep(min(self.backoff_s * (2**attempt), _MAX_BACKOFF_S))
+        # The lease may be near expiry after the backoff; a fenced
+        # renewal here means the job is no longer ours to retry.
+        renewed = self.queue.heartbeat(lease)
+        if renewed is None:
+            self.stats.lost += 1
+        return renewed
 
     def _settle_foreign(self) -> None:
         """Resolve keys whose fate peers decided (done elsewhere)."""
@@ -249,6 +265,17 @@ class _Drain:
     def _reclaim(self) -> None:
         reclaimed = self.queue.reclaim_expired()
         self.stats.reclaimed += len(reclaimed)
+
+    def _frozen(self, key: str) -> bool:
+        """Whether chaos freezes this job's lease heartbeats."""
+        frozen = self.chaos is not None and self.chaos.freeze_heartbeats(key)
+        if frozen:
+            logger.warning(
+                "chaos: freezing heartbeats for %s on %s",
+                key[:12],
+                self.queue.worker_id,
+            )
+        return frozen
 
     # -- one leased execution (serial / fallback path) ------------------------
     def _heartbeat_tick(self, lease_box: list[Lease], frozen: bool):
@@ -273,15 +300,8 @@ class _Drain:
         fenced commit.  Resolves the key unless the lease was lost."""
         job = self.by_key[lease.key]
         sim = sim_job(job, self.trace, self.cache_dir)
-        frozen = self.chaos is not None and self.chaos.freeze_heartbeats(lease.key)
-        if frozen:
-            logger.warning(
-                "chaos: freezing heartbeats for %s on %s",
-                lease.key[:12],
-                self.queue.worker_id,
-            )
         lease_box = [lease]
-        tick = self._heartbeat_tick(lease_box, frozen)
+        tick = self._heartbeat_tick(lease_box, self._frozen(lease.key))
         for attempt in range(self.retries + 1):
             try:
                 if self.chaos is not None:
@@ -304,36 +324,42 @@ class _Drain:
                 self.queue.release(lease_box[0])
                 raise
             except Exception as exc:
-                if attempt >= self.retries:
-                    self._give_up(lease_box[0], exc, attempt)
-                    return
-                self._retrying(lease.key, attempt)
-                time.sleep(min(self.backoff_s * (2**attempt), _MAX_BACKOFF_S))
-                # The lease may be near expiry after the backoff; a fenced
-                # renewal here means the job is no longer ours to retry.
-                renewed = self.queue.heartbeat(lease_box[0])
+                renewed = self._after_error(lease_box[0], exc, attempt)
                 if renewed is None:
-                    self.stats.lost += 1
                     return
                 lease_box[0] = renewed
             else:
                 self._commit(lease_box[0], result, wall, attempt, worker_pid)
                 return
 
-    # -- serial drain ---------------------------------------------------------
-    def _drain_serial(self) -> None:
+    # -- the drain loop ---------------------------------------------------------
+    def _claim(self, pooled: bool) -> dict[str, Lease]:
+        """Claim runnable jobs in grid order: every one of them in one
+        transaction for the pool drain, the next one for the serial drain."""
+        if pooled:
+            leases = self.queue.claim(self.unresolved)
+        else:
+            lease = self.queue.claim_next(self.unresolved)
+            leases = [lease] if lease is not None else []
+        self.stats.claimed += len(leases)
+        self.stats.reclaimed += sum(lease.reclaimed for lease in leases)
+        return {lease.key: lease for lease in leases}
+
+    def run(self) -> WorkerStats:
+        pooled = self.jobs > 1 and len(self.unresolved) > 1
         idle_logged = False
         while self.unresolved and self._budget_left():
             self._reclaim()
             self._settle_foreign()
             if not self.unresolved:
                 break
-            lease = self.queue.claim_next(self.unresolved)
-            if lease is not None:
+            held = self._claim(pooled)
+            if held:
                 idle_logged = False
-                self.stats.claimed += 1
-                self.stats.reclaimed += lease.reclaimed
-                self._run_leased(lease)
+                if pooled:
+                    self._run_held(held)
+                else:
+                    self._run_leased(*held.values())
                 continue
             # Everything left is done (settled next pass) or leased to a
             # live peer: wait for them — their lease expiry is our upper
@@ -345,7 +371,7 @@ class _Drain:
                     self.queue.worker_id,
                     len(self.unresolved),
                 )
-                return
+                break
             if not idle_logged:
                 idle_logged = True
                 logger.info(
@@ -354,218 +380,91 @@ class _Drain:
                     len(self.unresolved),
                 )
             time.sleep(self.poll_s)
-
-    # -- pool drain (ported generational machinery) ---------------------------
-    def _claim_all(self) -> dict[str, Lease]:
-        leases = self.queue.claim(self.unresolved)
-        self.stats.claimed += len(leases)
-        self.stats.reclaimed += sum(lease.reclaimed for lease in leases)
-        return {lease.key: lease for lease in leases}
-
-    def _renew_held(self, held: dict[str, Lease], frozen: set[str]) -> list[str]:
-        """Renew every held lease; returns keys fenced out (lost)."""
-        lost: list[str] = []
-        for key, lease in list(held.items()):
-            if key in frozen:
-                continue
-            renewed = self.queue.heartbeat(lease)
-            if renewed is None:
-                lost.append(key)
-                del held[key]
-            else:
-                held[key] = renewed
-        return lost
-
-    def _drain_pool(self) -> None:
-        while self.unresolved and self._budget_left():
-            self._reclaim()
-            self._settle_foreign()
-            if not self.unresolved:
-                break
-            held = self._claim_all()
-            if not held:
-                if not self.wait_for_peers:
-                    self.stats.left_leased += len(self.unresolved)
-                    return
-                time.sleep(self.poll_s)
-                continue
-            frozen: set[str] = set()
-            if self.chaos is not None:
-                for key in held:
-                    if self.chaos.freeze_heartbeats(key):
-                        frozen.add(key)
-                        logger.warning(
-                            "chaos: freezing heartbeats for %s on %s",
-                            key[:12],
-                            self.queue.worker_id,
-                        )
-            self._pool_generations(held, frozen)
-
-    def _pool_generations(self, held: dict[str, Lease], frozen: set[str]) -> None:
-        """Run the held jobs over pool generations with incident recovery
-        — the pre-queue orchestrator's machinery, minus result commits
-        (those go through the fenced queue) plus lease renewal."""
-        remaining: list[tuple[str, int]] = [(key, 0) for key in held]
-        incidents = 0
-        while remaining:
-            if incidents >= POOL_INCIDENT_LIMIT:
-                pool.POOL_STATS["serial_fallbacks"] += 1
-                logger.warning(
-                    "worker pool failed %d times; running %d unfinished jobs "
-                    "serially",
-                    incidents,
-                    len(remaining),
-                )
-                for key, _attempt in remaining:
-                    lease = held.pop(key, None)
-                    if lease is None:
-                        continue
-                    self._run_leased(lease)
-                return
-            pool.preload_simulator()
-            executor = ProcessPoolExecutor(
-                max_workers=min(self.jobs, len(remaining))
-            )
-            inflight: dict[Future, tuple[str, int, float]] = {}
-            requeue: list[tuple[str, int]] = []
-            broken: str | None = None
-
-            def submit(key: str, attempt: int) -> bool:
-                job = self.by_key[key]
-                try:
-                    future = executor.submit(
-                        pool.run_job_timed,
-                        sim_job(job, self.trace, self.cache_dir),
-                    )
-                except BrokenProcessPool:
-                    requeue.append((key, attempt))
-                    return False
-                inflight[future] = (key, attempt, time.perf_counter())
-                return True
-
-            try:
-                for position, (key, attempt) in enumerate(remaining):
-                    if not submit(key, attempt):
-                        requeue.extend(remaining[position + 1 :])
-                        broken = "pool broken at submit"
-                        break
-                next_beat = time.monotonic() + self.heartbeat_s
-                progress_deadline = (
-                    time.monotonic() + self.job_timeout_s
-                    if self.job_timeout_s is not None
-                    else None
-                )
-                while inflight and broken is None:
-                    now = time.monotonic()
-                    timeout = next_beat - now
-                    if progress_deadline is not None:
-                        timeout = min(timeout, progress_deadline - now)
-                    finished, _pending = wait(
-                        inflight,
-                        timeout=max(0.01, timeout),
-                        return_when=FIRST_COMPLETED,
-                    )
-                    now = time.monotonic()
-                    if now >= next_beat:
-                        for key in self._renew_held(held, frozen):
-                            logger.warning(
-                                "worker %s: lease on %s reclaimed mid-run",
-                                self.queue.worker_id,
-                                key[:12],
-                            )
-                        next_beat = now + self.heartbeat_s
-                    if not finished:
-                        if (
-                            progress_deadline is not None
-                            and now >= progress_deadline
-                        ):
-                            pool.POOL_STATS["timeouts"] += 1
-                            broken = (
-                                f"no job finished within "
-                                f"{self.job_timeout_s:g}s (pool presumed hung)"
-                            )
-                            break
-                        continue
-                    if progress_deadline is not None:
-                        progress_deadline = now + self.job_timeout_s
-                    for future in finished:
-                        key, attempt, _started = inflight.pop(future)
-                        try:
-                            result, wall, worker_pid = future.result()
-                        except BrokenProcessPool:
-                            requeue.append((key, attempt))
-                            broken = "worker died"
-                        except Exception as exc:
-                            lease = held.get(key)
-                            if lease is None:
-                                self.stats.lost += 1
-                                continue
-                            if attempt >= self.retries:
-                                self._give_up(lease, exc, attempt)
-                                held.pop(key, None)
-                                continue
-                            self._retrying(key, attempt)
-                            time.sleep(
-                                min(
-                                    self.backoff_s * (2**attempt),
-                                    _MAX_BACKOFF_S,
-                                )
-                            )
-                            renewed = self.queue.heartbeat(lease)
-                            if renewed is None:
-                                self.stats.lost += 1
-                                held.pop(key, None)
-                                continue
-                            held[key] = renewed
-                            submit(key, attempt + 1)
-                        else:
-                            lease = held.pop(key, None)
-                            if lease is None:
-                                self.stats.lost += 1
-                                continue
-                            self._commit(lease, result, wall, attempt, worker_pid)
-            except KeyboardInterrupt:
-                terminate_pool(executor)
-                for lease in held.values():
-                    self.queue.release(lease)
-                logger.error(
-                    "campaign interrupted: %d results committed, %d jobs "
-                    "dropped (resume with `repro campaign resume`)",
-                    self.stats.completed,
-                    len(inflight),
-                )
-                raise
-            except BaseException:
-                terminate_pool(executor)
-                raise
-            if broken is None and not requeue:
-                executor.shutdown()
-                return
-            terminate_pool(executor)
-            incidents += 1
-            pool.POOL_STATS["respawns"] += 1
-            remaining = requeue + [
-                (key, attempt) for key, attempt, _started in inflight.values()
-            ]
-            # Drop anything whose lease we lost while the pool was broken.
-            remaining = [entry for entry in remaining if entry[0] in held]
-            self.stats.requeued += len(remaining)
-            if self.cb.on_requeued is not None:
-                self.cb.on_requeued(len(remaining))
-            logger.warning(
-                "worker pool incident (%s); respawning pool for %d unfinished "
-                "jobs",
-                broken or "submit failure",
-                len(remaining),
-            )
-
-    # -- entry ----------------------------------------------------------------
-    def run(self) -> WorkerStats:
-        if self.jobs <= 1 or len(self.unresolved) <= 1:
-            self._drain_serial()
-        else:
-            self._drain_pool()
         return self.stats
+
+    # -- pool drain -----------------------------------------------------------
+    def _run_held(self, held: dict[str, Lease]) -> None:
+        """Run the claimed jobs over the shared pool executor; ``held``
+        keeps the leases of the jobs not yet resolved."""
+        frozen = {key for key in held if self._frozen(key)}
+        attempts = dict.fromkeys(held, 0)
+
+        def on_result(key: str, value: tuple[WorkloadResult, float, int]) -> None:
+            lease = held.pop(key, None)
+            if lease is None:
+                self.stats.lost += 1
+                return
+            result, wall, worker_pid = value
+            self._commit(lease, result, wall, attempts[key], worker_pid)
+
+        def on_error(key: str, error: Exception) -> bool:
+            lease = held.get(key)
+            if lease is None:
+                self.stats.lost += 1
+                return False
+            renewed = self._after_error(lease, error, attempts[key])
+            if renewed is None:
+                del held[key]
+                return False
+            held[key] = renewed
+            attempts[key] += 1
+            return True
+
+        def on_requeue(keys: list[str]) -> list[str]:
+            # Drop anything whose lease was lost while the pool was broken.
+            keys = [key for key in keys if key in held]
+            self.stats.requeued += len(keys)
+            if self.cb.on_requeued is not None:
+                self.cb.on_requeued(len(keys))
+            return keys
+
+        def renew() -> None:
+            for key, lease in list(held.items()):
+                if key in frozen:
+                    continue
+                renewed = self.queue.heartbeat(lease)
+                if renewed is not None:
+                    held[key] = renewed
+                    continue
+                del held[key]
+                logger.warning(
+                    "worker %s: lease on %s reclaimed mid-run",
+                    self.queue.worker_id,
+                    key[:12],
+                )
+
+        def fallback(keys: list[str]) -> None:
+            for key in keys:
+                self._run_leased(held.pop(key))
+
+        try:
+            pool.run_tasks(
+                pool.run_job_timed,
+                {
+                    key: (sim_job(self.by_key[key], self.trace, self.cache_dir),)
+                    for key in held
+                },
+                self.jobs,
+                on_result=on_result,
+                on_error=on_error,
+                on_requeue=on_requeue,
+                fallback=fallback,
+                timeout_s=self.job_timeout_s,
+                beat=renew,
+                beat_s=self.heartbeat_s,
+            )
+        except KeyboardInterrupt:
+            # Hand the unfinished jobs straight back to the queue instead
+            # of making peers wait out the leases.
+            for lease in held.values():
+                self.queue.release(lease)
+            logger.error(
+                "campaign interrupted: %d results committed, %d leases "
+                "released (resume with `repro campaign resume`)",
+                self.stats.completed,
+                len(held),
+            )
+            raise
 
 
 def drain_campaign(

@@ -2,9 +2,24 @@
 
 Every paper figure is an aggregate over *independent* (workload ×
 scheduler) simulations, so experiment throughput scales with cores: this
-module fans :class:`SimJob` descriptions out over a
-:class:`~concurrent.futures.ProcessPoolExecutor` and merges results
-deterministically.
+module fans :class:`SimJob` descriptions out over worker processes and
+merges results deterministically.
+
+:func:`run_tasks` is the one process-pool executor.  It owns a pool's
+whole lifetime: the simulator preload, one pool per generation, the wait
+loop with its no-progress timeout and optional beat, teardown, respawn
+after an incident (a worker died, or nothing finished in time), the
+in-process fallback after :data:`POOL_INCIDENT_LIMIT` incidents, and
+every :data:`POOL_STATS` count.  Its three callers supply only what
+differs:
+
+* :func:`run_jobs` (``ExperimentRunner.run_many``) collects results by
+  index and falls back to :func:`run_job`;
+* :func:`warm_baselines` computes alone baselines into the disk cache and
+  gives up on the first incident, leaving the jobs to compute them;
+* the campaign drain (:mod:`repro.campaign.worker`) commits each result
+  through its fenced lease, retries failed jobs, and renews its leases on
+  the beat.
 
 Determinism contract: a job description pins everything a simulation
 depends on (system configuration, workload, scheduler name + kwargs,
@@ -29,16 +44,11 @@ from __future__ import annotations
 import logging
 import os
 import time
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    ProcessPoolExecutor,
-    as_completed,
-    wait,
-)
-from contextlib import contextmanager
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Hashable, Sequence
 
 from ..config import SystemConfig
 from ..envknobs import read_int, read_optional_float
@@ -61,6 +71,7 @@ __all__ = [
     "run_job",
     "run_job_timed",
     "run_jobs",
+    "run_tasks",
     "sim_progress",
     "terminate_pool",
     "warm_baselines",
@@ -261,14 +272,12 @@ def run_jobs(
     Results are returned in submission order.  With ``workers <= 1`` (or
     a single job) everything runs in-process, bypassing the pool.
 
-    The parallel path degrades gracefully: a broken pool (worker killed
-    by the OS, the OOM killer, or chaos injection) or a no-progress
-    timeout (``job_timeout_s`` / ``REPRO_JOB_TIMEOUT_S``) terminates the
-    surviving workers, respawns a fresh pool, and retries only the
-    unfinished jobs; after :data:`POOL_INCIDENT_LIMIT` incidents the
-    survivors run serially.  Completed results are never lost, and
-    determinism is preserved — retried jobs are pure functions of their
-    description.
+    The parallel path degrades gracefully (see :func:`run_tasks`): a
+    broken pool or a no-progress timeout (``job_timeout_s`` /
+    ``REPRO_JOB_TIMEOUT_S``) retries only the unfinished jobs, in a new
+    pool and finally in this process.  Completed results are never lost,
+    and determinism is preserved — retried jobs are pure functions of
+    their description.  A job's own exception propagates.
     """
     jobs = list(jobs)
     if workers is None:
@@ -281,9 +290,28 @@ def run_jobs(
         return results
     workers = min(workers, len(jobs))
     logger.info("running %d simulations over %d worker processes", len(jobs), workers)
-    results = _run_pool(jobs, workers, job_timeout_s)
+    by_index: dict[int, "WorkloadResult"] = {}
+
+    def fallback(indexes: list[int]) -> None:
+        for index in indexes:
+            try:
+                by_index[index] = run_job(jobs[index])
+            except ChaosInjectedError:
+                # The injection marker fired before the raise, so one
+                # retry runs clean.
+                by_index[index] = run_job(jobs[index])
+
+    run_tasks(
+        run_job,
+        {index: (job,) for index, job in enumerate(jobs)},
+        workers,
+        on_result=by_index.__setitem__,
+        fallback=fallback,
+        timeout_s=job_timeout_s,
+        backend=jobs[0].backend,
+    )
     _log_cache_report()
-    return results
+    return [by_index[index] for index in range(len(jobs))]
 
 
 def _warm_alone(job: SimJob, benchmark: str) -> dict[str, int]:
@@ -315,9 +343,10 @@ def warm_baselines(
     added to the checking runner's cache and to ``GLOBAL_STATS``.
 
     A baseline's own exception propagates unchanged.  A broken pool (a
-    worker died) is logged and tolerated: the jobs then compute any
-    baseline still missing under their own retry and incident handling.
-    Jobs without a disk cache have nothing to share and are skipped.
+    worker died) is logged and tolerated, with no respawn and nothing run
+    in this process: the jobs then compute any baseline still missing
+    under their own retry and incident handling.  Jobs without a disk
+    cache have nothing to share and are skipped.
     """
     groups: dict[tuple, tuple[SimJob, dict[str, None]]] = {}
     for job in jobs:
@@ -350,153 +379,188 @@ def warm_baselines(
         len(missing),
         min(workers, len(missing)),
     )
-    preload_simulator(missing[0][0].backend)
-    executor = ProcessPoolExecutor(max_workers=min(workers, len(missing)))
-    try:
-        futures = {
-            executor.submit(_warm_alone, job, benchmark): disk
-            for job, benchmark, disk in missing
-        }
-        for future in as_completed(futures):
-            disk = futures[future]
-            for name, delta in future.result().items():
-                setattr(disk, name, getattr(disk, name) + delta)
-                GLOBAL_STATS[name] += delta
-    except BrokenProcessPool as exc:
-        terminate_pool(executor)
+
+    def fold(index: int, deltas: dict[str, int]) -> None:
+        disk = missing[index][2]
+        for name, delta in deltas.items():
+            setattr(disk, name, getattr(disk, name) + delta)
+            GLOBAL_STATS[name] += delta
+
+    unfinished = run_tasks(
+        _warm_alone,
+        {index: (job, benchmark) for index, (job, benchmark, _) in enumerate(missing)},
+        workers,
+        on_result=fold,
+        backend=missing[0][0].backend,
+    )
+    if unfinished:
         logger.warning(
-            "baseline pool broke (%s); jobs compute missing baselines themselves",
-            exc,
+            "baseline pool broke; jobs compute %d missing baselines themselves",
+            len(unfinished),
         )
-        return
-    except BaseException:
-        terminate_pool(executor)
-        raise
-    executor.shutdown()
-
-
-class _PoolIncident(Exception):
-    """Internal: the worker pool broke or stopped making progress."""
 
 
 def terminate_pool(pool: ProcessPoolExecutor) -> None:
     """Tear a pool down without leaving orphaned workers: cancel queued
     work, terminate live processes, then release executor resources."""
+    # shutdown() drops the executor's process table, so copy it first.
+    processes = list((getattr(pool, "_processes", None) or {}).values())
     try:
         pool.shutdown(wait=False, cancel_futures=True)
     except Exception:  # pragma: no cover - defensive
         pass
-    processes = getattr(pool, "_processes", None) or {}
-    for process in list(processes.values()):
+    for process in processes:
         try:
             process.terminate()
         except Exception:  # pragma: no cover - already dead
             pass
-    for process in list(processes.values()):
+    for process in processes:
         try:
             process.join(timeout=5.0)
         except Exception:  # pragma: no cover - defensive
             pass
 
 
-def _run_pool(
-    jobs: list[SimJob], workers: int, timeout_s: float | None
-) -> list["WorkloadResult"]:
-    results: dict[int, "WorkloadResult"] = {}
-    remaining = list(range(len(jobs)))
-    incidents = 0
-    while remaining:
-        try:
-            _pool_pass(jobs, remaining, workers, timeout_s, results)
-        except _PoolIncident as incident:
-            incidents += 1
-            if "presumed hung" in str(incident):
-                POOL_STATS["timeouts"] += 1
-            remaining = [i for i in remaining if i not in results]
-            if incidents >= POOL_INCIDENT_LIMIT:
-                POOL_STATS["serial_fallbacks"] += 1
-                logger.warning(
-                    "worker pool failed %d times (%s); running %d unfinished "
-                    "jobs serially",
-                    incidents,
-                    incident,
-                    len(remaining),
-                )
-                for index in remaining:
-                    try:
-                        results[index] = run_job(jobs[index])
-                    except ChaosInjectedError:
-                        # The injection marker fired before the raise, so
-                        # one retry runs clean.
-                        results[index] = run_job(jobs[index])
-                remaining = []
-            else:
-                POOL_STATS["respawns"] += 1
-                logger.warning(
-                    "worker pool incident (%s); respawning pool for %d "
-                    "unfinished jobs",
-                    incident,
-                    len(remaining),
-                )
-        else:
-            remaining = [i for i in remaining if i not in results]
-    return [results[i] for i in range(len(jobs))]
+def _reraise(key: Hashable, error: Exception) -> bool:
+    raise error
 
 
-def _pool_pass(
-    jobs: list[SimJob],
-    indexes: list[int],
+def run_tasks(
+    fn: Callable[..., Any],
+    tasks: dict[Hashable, tuple],
     workers: int,
-    timeout_s: float | None,
-    results: dict[int, "WorkloadResult"],
-) -> None:
-    """One pool lifetime: run ``indexes`` until done or the pool breaks.
+    *,
+    on_result: Callable[[Any, Any], None],
+    on_error: Callable[[Any, Exception], bool] = _reraise,
+    on_requeue: Callable[[list], list] = list,
+    fallback: Callable[[list], None] | None = None,
+    timeout_s: float | None = None,
+    beat: Callable[[], None] | None = None,
+    beat_s: float = 0.0,
+    backend: str | None = None,
+) -> list:
+    """Run ``fn(*tasks[key])`` for every key over process-pool generations.
 
-    Completed results accumulate into ``results`` (so nothing finished is
-    lost when the pool dies); a broken pool or a no-progress window
-    raises :class:`_PoolIncident` after terminating every worker.
+    Each generation is one pool of ``min(workers, unfinished)`` processes.
+    This process receives each task's return value in
+    ``on_result(key, value)`` and each task's own exception in
+    ``on_error(key, error)``, which returns True to resubmit the task
+    (the default re-raises).  ``beat()``, when given, runs every
+    ``beat_s`` seconds while the pool works.
+
+    An incident — a broken pool at submit or at result, or no task
+    finishing within ``timeout_s`` — terminates the generation and passes
+    its unfinished keys through ``on_requeue``, which returns those still
+    wanted.  Without a ``fallback`` the executor stops there and returns
+    them.  With one, it starts a new pool for them, and after
+    :data:`POOL_INCIDENT_LIMIT` incidents calls ``fallback(keys)`` to run
+    them in this process instead; it then returns an empty list.
+
+    Any other exception, ``KeyboardInterrupt`` included, terminates the
+    workers and propagates.
     """
-    preload_simulator(jobs[indexes[0]].backend)
-    pool = ProcessPoolExecutor(max_workers=min(workers, len(indexes)))
-    try:
-        futures = {pool.submit(run_job, jobs[i]): i for i in indexes}
-        pending = set(futures)
-        while pending:
-            done, pending = wait(
-                pending, timeout=timeout_s, return_when=FIRST_COMPLETED
-            )
-            if not done:
-                raise _PoolIncident(
-                    f"no simulation finished within {timeout_s:g}s; "
-                    f"pool presumed hung"
+
+    def generation(keys: list) -> tuple[str | None, list]:
+        """One pool lifetime: the incident, if any, and the keys left."""
+        executor = ProcessPoolExecutor(max_workers=min(workers, len(keys)))
+        unfinished = dict.fromkeys(keys)
+        inflight: dict[Future, Hashable] = {}
+
+        def submit(key: Hashable) -> bool:
+            try:
+                inflight[executor.submit(fn, *tasks[key])] = key
+            except BrokenProcessPool:
+                return False
+            return True
+
+        try:
+            reason = None if all(map(submit, keys)) else "pool broken at submit"
+            now = time.monotonic()
+            deadline = now + timeout_s if timeout_s is not None else None
+            next_beat = now + beat_s if beat is not None else None
+            while inflight and reason is None:
+                now = time.monotonic()
+                bounds = [at - now for at in (deadline, next_beat) if at is not None]
+                done, _ = wait(
+                    inflight,
+                    timeout=max(0.01, min(bounds)) if bounds else None,
+                    return_when=FIRST_COMPLETED,
                 )
-            for future in done:
-                try:
-                    results[futures[future]] = future.result()
-                except BrokenProcessPool as exc:
-                    raise _PoolIncident(f"worker died: {exc}") from None
-        pool.shutdown()
-    except _PoolIncident:
-        terminate_pool(pool)
-        raise
-    except BrokenProcessPool as exc:
-        # submit() on an already-broken pool raises directly.
-        terminate_pool(pool)
-        raise _PoolIncident(f"pool broken: {exc}") from None
-    except KeyboardInterrupt:
-        terminate_pool(pool)
-        logger.error(
-            "interrupted: %d/%d simulations completed (their artifacts "
-            "are preserved in the disk cache)",
-            len(results),
-            len(jobs),
+                now = time.monotonic()
+                if next_beat is not None and now >= next_beat:
+                    beat()
+                    next_beat = now + beat_s
+                if not done:
+                    if deadline is not None and now >= deadline:
+                        POOL_STATS["timeouts"] += 1
+                        reason = f"no task finished within {timeout_s:g}s"
+                    continue
+                if deadline is not None:
+                    deadline = now + timeout_s
+                for future in done:
+                    key = inflight.pop(future)
+                    try:
+                        value = future.result()
+                    except BrokenProcessPool as exc:
+                        reason = f"worker died: {exc}"
+                    except Exception as exc:
+                        if not on_error(key, exc):
+                            del unfinished[key]
+                        elif not submit(key):
+                            reason = "pool broken at submit"
+                    else:
+                        del unfinished[key]
+                        on_result(key, value)
+        except BaseException as exc:
+            terminate_pool(executor)
+            if isinstance(exc, KeyboardInterrupt):
+                logger.error(
+                    "interrupted: worker pool torn down, %d of %d tasks unfinished",
+                    len(unfinished),
+                    len(keys),
+                )
+            raise
+        if reason is None:
+            executor.shutdown()
+        else:
+            terminate_pool(executor)
+        return reason, list(unfinished)
+
+    preload_simulator(backend)
+    pending = list(tasks)
+    incidents = 0
+    while pending:
+        if incidents:
+            POOL_STATS["respawns"] += 1
+        reason, unfinished = generation(pending)
+        if reason is None:
+            break
+        incidents += 1
+        pending = on_requeue(unfinished)
+        if fallback is None:
+            logger.warning(
+                "worker pool incident (%s); %d tasks left unfinished",
+                reason,
+                len(pending),
+            )
+            return pending
+        if pending and incidents >= POOL_INCIDENT_LIMIT:
+            POOL_STATS["serial_fallbacks"] += 1
+            logger.warning(
+                "worker pool failed %d times (%s); running %d unfinished "
+                "tasks in this process",
+                incidents,
+                reason,
+                len(pending),
+            )
+            fallback(pending)
+            break
+        logger.warning(
+            "worker pool incident (%s); respawning pool for %d unfinished tasks",
+            reason,
+            len(pending),
         )
-        raise
-    except BaseException:
-        # A job's own exception (or anything unexpected): clean up the
-        # workers, then let it propagate unchanged.
-        terminate_pool(pool)
-        raise
+    return []
 
 
 def _log_cache_report() -> None:

@@ -247,6 +247,27 @@ def test_concurrent_first_opens_of_one_store(tmp_path):
     assert errors == []
 
 
+def test_joining_a_registered_store_takes_no_write_lock(tmp_path, monkeypatch):
+    """A worker that opens an up-to-date store and registers a campaign
+    already registered in full only reads, so a peer holding the write
+    lock does not make it wait (or fail with "database is locked")."""
+    path = tmp_path / "shared.sqlite"
+    spec = _spec()
+    grid = spec.expand()
+    with ResultStore(path) as store:
+        assert store.register(spec, grid) == len(grid)
+    monkeypatch.setenv("REPRO_STORE_BUSY_TIMEOUT_S", "0.2")
+    peer = sqlite3.connect(path, isolation_level=None)
+    peer.execute("BEGIN IMMEDIATE")
+    try:
+        with ResultStore(path) as store:
+            assert store.register(spec, grid) == 0
+            assert store.schema_version() == SCHEMA_VERSION
+    finally:
+        peer.execute("ROLLBACK")
+        peer.close()
+
+
 # -- default path -------------------------------------------------------------
 def test_default_db_path_env_override(monkeypatch, tmp_path):
     monkeypatch.setenv("REPRO_CAMPAIGN_DB", str(tmp_path / "x.sqlite"))

@@ -6,6 +6,7 @@ the resumed campaign still exports a report byte-identical to a
 fault-free golden run.
 """
 
+import multiprocessing
 import sqlite3
 
 import pytest
@@ -14,8 +15,10 @@ from repro.campaign.orchestrator import run_campaign
 from repro.campaign.report import export_text
 from repro.campaign.spec import spec_from_dict
 from repro.campaign.store import ResultStore
+from repro.campaign.worker import drain_campaign
 from repro.envknobs import EnvKnobError
 from repro.guard.chaos import ChaosInjectedError, ChaosPlan, chaos_from_env
+from repro.sim import pool
 from repro.sim.diskcache import DiskCache
 
 INSTRUCTIONS = 2_000
@@ -209,3 +212,90 @@ def test_chaos_campaign_report_matches_fault_free_golden(tmp_path, monkeypatch):
         chaos_report = export_text(spec, store, fmt="csv")
 
     assert chaos_report == golden
+
+
+# -- the no-progress timeout and Ctrl-C, on both pool callers ------------------
+def _pool_stats_delta(before: dict) -> dict:
+    return {name: pool.POOL_STATS[name] - before[name] for name in before}
+
+
+def _jobs(tmp_path) -> list[pool.SimJob]:
+    from repro.config import baseline_system
+
+    return [
+        pool.SimJob(
+            config=baseline_system(2),
+            workload=("mcf", "lbm"),
+            scheduler=name,
+            instructions=INSTRUCTIONS,
+            cache_dir=str(tmp_path / "cache"),
+        )
+        for name in ("FCFS", "FR-FCFS", "PAR-BS")
+    ]
+
+
+# Both callers see the same incidents: every job hangs its worker once,
+# so the first generation times out, the respawned one times out on the
+# jobs it has not run yet, and those run in this process.
+HANG_STATS = {"respawns": 1, "serial_fallbacks": 1, "timeouts": 2}
+
+
+def test_run_jobs_hang_times_out_respawns_and_reaps(tmp_path, monkeypatch):
+    monkeypatch.delenv("REPRO_CHAOS", raising=False)
+    jobs = _jobs(tmp_path)
+    serial = [pool.run_job(job) for job in jobs]
+    monkeypatch.setenv("REPRO_CHAOS", _plan(tmp_path, "hang=1,seed=11").spec())
+    before = dict(pool.POOL_STATS)
+    assert pool.run_jobs(jobs, workers=2, job_timeout_s=2) == serial
+    assert _pool_stats_delta(before) == HANG_STATS
+    assert multiprocessing.active_children() == []
+
+
+def test_campaign_hang_times_out_respawns_and_reaps(tmp_path, monkeypatch):
+    spec = _smoke_spec()
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    monkeypatch.delenv("REPRO_CHAOS", raising=False)
+    with ResultStore(tmp_path / "golden.sqlite") as store:
+        run_campaign(spec, store, jobs=1)
+        golden = export_text(spec, store, fmt="csv")
+    plan = _plan(tmp_path, "hang=1,seed=11")
+    before = dict(pool.POOL_STATS)
+    with ResultStore(tmp_path / "hang.sqlite") as store:
+        stats = run_campaign(spec, store, jobs=2, chaos=plan, job_timeout_s=2)
+        assert (stats.ran, stats.failed) == (4, 0)
+        assert export_text(spec, store, fmt="csv") == golden
+    assert _pool_stats_delta(before) == HANG_STATS
+    assert multiprocessing.active_children() == []
+
+
+@pytest.fixture
+def interrupt_first_wait(monkeypatch):
+    """The executor's first wait raises ``KeyboardInterrupt`` (Ctrl-C)."""
+    real_wait = pool.wait
+    calls = []
+
+    def wait(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 1:
+            raise KeyboardInterrupt
+        return real_wait(*args, **kwargs)
+
+    monkeypatch.setattr(pool, "wait", wait)
+    monkeypatch.delenv("REPRO_CHAOS", raising=False)
+
+
+def test_run_jobs_interrupt_tears_the_pool_down(tmp_path, interrupt_first_wait):
+    with pytest.raises(KeyboardInterrupt):
+        pool.run_jobs(_jobs(tmp_path), workers=2)
+    assert multiprocessing.active_children() == []
+
+
+def test_campaign_interrupt_releases_every_lease(tmp_path, interrupt_first_wait):
+    spec = _smoke_spec()
+    keys = [job.key for job in spec.expand()]
+    with ResultStore(tmp_path / "store.sqlite") as store:
+        with pytest.raises(KeyboardInterrupt):
+            drain_campaign(spec, store, jobs=2, cache_dir=str(tmp_path / "cache"))
+        assert multiprocessing.active_children() == []
+        assert store.leases_for(keys) == {}
+        assert "done" not in store.statuses(keys).values()
