@@ -20,7 +20,7 @@ Package layout:
 * :mod:`repro.core` — the paper's contribution (PAR-BS, batching, ranking);
 * :mod:`repro.schedulers` — FCFS, FR-FCFS, NFQ and STFM baselines;
 * :mod:`repro.dram` — banks, buses, channels, the memory controller;
-* :mod:`repro.cpu` / :mod:`repro.cache` — core model and cache hierarchy;
+* :mod:`repro.cpu` — trace-driven core model (traces are L2-miss streams);
 * :mod:`repro.workloads` — Table 3 profiles, trace generator, mixes;
 * :mod:`repro.sim` / :mod:`repro.metrics` — runners and paper metrics;
 * :mod:`repro.experiments` — drivers reproducing every table and figure.

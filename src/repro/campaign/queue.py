@@ -39,7 +39,7 @@ import sqlite3
 import time
 import uuid
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from ..envknobs import read_float
 from ..obs.metrics import job_metrics
@@ -414,7 +414,3 @@ class LeaseQueue:
             return [row["key"] for row in rows]
 
         return self._txn("reclaim", fn)
-
-    def live_leases(self, keys: Iterable[str]) -> dict[str, dict]:
-        """Lease rows for ``keys`` relative to this queue's clock."""
-        return self.store.leases_for(keys, now=self._clock())

@@ -11,9 +11,10 @@ Durability properties the orchestrator builds on:
 * the connection runs in WAL mode with ``synchronous=NORMAL``, so one
   writer streams results while ``campaign status``/``report`` readers
   query concurrently;
-* every result lands in its own transaction (`record_result`), so an
-  interrupted run loses at most the in-flight simulations — never a
-  recorded one, and never a torn row;
+* every result lands in its own transaction (the fenced
+  :meth:`~repro.campaign.queue.LeaseQueue.complete`), so an interrupted
+  run loses at most the in-flight simulations — never a recorded one,
+  and never a torn row;
 * a ``schema_version`` table gates forward migrations: opening an older
   database upgrades it in place inside a transaction, and opening a
   *newer* database than this code understands refuses loudly instead of
@@ -37,14 +38,13 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 from ..envknobs import read_float
 from ..sim.diskcache import cache_enabled, default_cache_dir
-from .serde import result_from_json, result_to_json
+from .serde import result_from_json
 from .spec import CampaignJob, CampaignSpec
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..metrics.summary import WorkloadResult
 
 __all__ = ["ResultStore", "SCHEMA_VERSION", "STORE_STATS", "default_db_path"]
-# (results_for/failures_for are the grid-faithful, cross-campaign queries.)
 
 logger = logging.getLogger(__name__)
 
@@ -375,26 +375,6 @@ class ResultStore:
                 )
                 time.sleep(delay)
 
-    def record_result(
-        self, key: str, result: "WorkloadResult", wall_time_s: float | None = None
-    ) -> None:
-        """Persist one finished simulation (its own committed transaction)."""
-        self._commit_with_retry(
-            key,
-            "UPDATE jobs SET status = 'done', result_json = ?, error = NULL, "
-            "attempts = attempts + 1, wall_time_s = ? WHERE key = ?",
-            (result_to_json(result), wall_time_s, key),
-        )
-
-    def record_failure(self, key: str, error: str) -> None:
-        """Mark one job failed (kept pending-equivalent for future resumes)."""
-        self._commit_with_retry(
-            key,
-            "UPDATE jobs SET status = 'failed', error = ?, "
-            "attempts = attempts + 1 WHERE key = ?",
-            (error[:2000], key),
-        )
-
     # -- progress (schema v3) ------------------------------------------------
     def record_progress(
         self,
@@ -580,33 +560,6 @@ class ResultStore:
             out["total"] += int(row["n"])
         return out
 
-    def result(self, key: str) -> "WorkloadResult | None":
-        row = self._conn.execute(
-            "SELECT result_json FROM jobs WHERE key = ? AND status = 'done'",
-            (key,),
-        ).fetchone()
-        if row is None or row["result_json"] is None:
-            return None
-        return result_from_json(row["result_json"])
-
-    def results(self, fingerprint: str) -> dict[str, "WorkloadResult"]:
-        """All completed results of a campaign, keyed by job key.
-
-        Only covers rows registered *under* this campaign; jobs shared
-        with an earlier campaign (same content hash) live under that
-        campaign's row.  Grid-faithful readers use :meth:`results_for`
-        with the expanded job keys instead.
-        """
-        return {
-            row["key"]: result_from_json(row["result_json"])
-            for row in self._conn.execute(
-                "SELECT key, result_json FROM jobs "
-                "WHERE campaign = ? AND status = 'done'",
-                (fingerprint,),
-            )
-            if row["result_json"] is not None
-        }
-
     def results_for(self, keys: Iterable[str]) -> dict[str, "WorkloadResult"]:
         """Completed results for specific job keys, regardless of which
         campaign originally registered them (job identity is the content
@@ -639,17 +592,6 @@ class ResultStore:
             ):
                 out[row["key"]] = row["error"] or ""
         return out
-
-    def failures(self, fingerprint: str) -> dict[str, str]:
-        """Error text by job key for failed jobs."""
-        return {
-            row["key"]: row["error"] or ""
-            for row in self._conn.execute(
-                "SELECT key, error FROM jobs "
-                "WHERE campaign = ? AND status = 'failed'",
-                (fingerprint,),
-            )
-        }
 
     def campaigns(self) -> list[dict]:
         """Summary row per stored campaign (for ``campaign status``)."""

@@ -40,7 +40,7 @@ __all__ = ["Core", "CoreSnapshot", "MemoryPort"]
 
 
 class MemoryPort(Protocol):
-    """Interface the core uses to reach the memory hierarchy."""
+    """Interface the core uses to reach DRAM (no cache sits in between)."""
 
     def access(
         self,
@@ -244,10 +244,13 @@ class Core:
     def _advance(self, now: int, plan: bool = False) -> None:
         """Bring retirement/dispatch pointers forward to time ``now``.
 
-        With ``plan=True`` the wake planner (see :meth:`_reschedule`) runs
-        in the same frame afterwards — every wake and data return needs
-        both, and fusing them saves a call plus re-loading the state the
-        advance loop already holds.
+        With ``plan=True`` the wake planner runs in the same frame
+        afterwards: it arms a wake-up at the earliest future time the core
+        makes progress without external events (the next request dispatch
+        or final retirement), and stays silent when only a data return can
+        unblock it.  Every wake and data return needs both steps, and
+        fusing them saves a call plus re-loading the state the advance loop
+        already holds.
 
         This loop is the single hottest path of the whole simulator, so it
         avoids attribute chasing and float math: loop-invariant parameters
@@ -387,7 +390,7 @@ class Core:
                 self._maybe_complete_pass()
             if not plan:
                 return
-        # -- wake planning (``_reschedule`` fused in) ----------------------
+        # -- wake planning (``plan=True``) ---------------------------------
         if self.finished and not self.repeat:
             return
         r_limit = pending[0].index - 1 if pending else self._trace_end_index
@@ -525,18 +528,3 @@ class Core:
             self._pass_count += 1
             self._trace_pos = 0
             self._next_mem_index = self._mem_index(0)
-
-    # -- wake-up planning -------------------------------------------------------------
-    def _reschedule(self) -> None:
-        """Arm a wake-up at the earliest future time the core makes
-        progress without external events (the next request dispatch or
-        final retirement); stay silent when only a data return can
-        unblock it.
-
-        The planning arithmetic lives at the tail of :meth:`_advance`
-        (``plan=True``), which every wake and data return calls directly;
-        this wrapper keeps the entry point for external callers.  Advancing
-        to ``queue.now`` first is a no-op when the caller is already
-        synced.
-        """
-        self._advance(self.queue.now, True)

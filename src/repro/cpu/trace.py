@@ -2,17 +2,15 @@
 
 A trace is a sequence of :class:`TraceEntry` items.  Each entry represents
 ``gap`` non-memory instructions followed by one memory instruction (a load
-or store that accesses the memory hierarchy).  This is the standard
-trace-driven abstraction for memory-system studies: instruction semantics
-are irrelevant, only the interleaving of computation and memory accesses
-matters.
+or store that goes to DRAM: traces are L2-miss streams).  This is the
+standard trace-driven abstraction for memory-system studies: instruction
+semantics are irrelevant, only the interleaving of computation and memory
+accesses matters.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Iterator
 
 __all__ = ["TraceEntry", "Trace", "TraceIngestStats"]
@@ -112,46 +110,3 @@ class Trace:
         last-level-cache misses)."""
         total = self.total_instructions
         return 1000.0 * len(self.entries) / total if total else 0.0
-
-    # -- persistence --------------------------------------------------------
-    def save(self, path: str | Path) -> None:
-        """Save as JSON lines: one ``[gap, address, is_write]`` per line."""
-        path = Path(path)
-        header: dict = {"name": self.name}
-        if self.ingest is not None:
-            header["ingest"] = [
-                self.ingest.requests_read,
-                self.ingest.lines_skipped,
-                self.ingest.truncated,
-            ]
-        with path.open("w") as fh:
-            fh.write(json.dumps(header) + "\n")
-            for entry in self.entries:
-                fh.write(
-                    json.dumps([entry.gap, entry.address, entry.is_write, entry.depends_on])
-                    + "\n"
-                )
-
-    @classmethod
-    def load(cls, path: str | Path) -> "Trace":
-        path = Path(path)
-        with path.open() as fh:
-            header = json.loads(fh.readline())
-            entries = [
-                TraceEntry(
-                    gap=e[0],
-                    address=e[1],
-                    is_write=bool(e[2]),
-                    depends_on=e[3] if len(e) > 3 else None,
-                )
-                for e in (json.loads(line) for line in fh if line.strip())
-            ]
-        ingest = None
-        if "ingest" in header:
-            raw = header["ingest"]
-            ingest = TraceIngestStats(
-                requests_read=int(raw[0]),
-                lines_skipped=int(raw[1]),
-                truncated=bool(raw[2]),
-            )
-        return cls(entries, name=header.get("name", path.stem), ingest=ingest)

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 from ..events import EventQueue
 from .buffers import BankReads, WriteFifo
@@ -228,23 +228,6 @@ class MemoryController:
         for index in self._reads.values():
             for bucket in index.rows.values():
                 yield from bucket
-
-    def buffered_reads_by_bank(
-        self,
-    ) -> Iterable[tuple[tuple[int, int], Sequence[MemoryRequest]]]:
-        """Buffered reads grouped by (channel, bank); empty banks skipped."""
-        return (
-            (key, tuple(index.requests()))
-            for key, index in self._reads.items()
-            if index.size
-        )
-
-    def buffered_reads_for_bank(
-        self, key: tuple[int, int]
-    ) -> Sequence[MemoryRequest]:
-        """Buffered reads waiting on one (channel, bank)."""
-        index = self._reads.get(key)
-        return tuple(index.requests()) if index is not None else ()
 
     def buffered_read_threads(self, key: tuple[int, int]) -> Mapping[int, int]:
         """Threads with buffered reads on one (channel, bank), with counts

@@ -17,7 +17,7 @@ from ..config import baseline_system
 from ..metrics.summary import WorkloadResult, geomean
 from ..sim.runner import ExperimentRunner
 from ..workloads.mixes import CASE_STUDY_1, CASE_STUDY_2, random_mixes
-from .reporting import format_table, print_header
+from .reporting import format_table
 
 __all__ = [
     "SweepResult",
@@ -325,16 +325,3 @@ def ranking_scheme_sweep(
         ]
     variants["STFM"] = [runner.run_workload(mix, "STFM") for mix in mixes]
     return SweepResult(variants=variants, mixes=mixes)
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print_header("Figure 11: Marking-Cap sweep")
-    print(marking_cap_sweep(count=4).report("Marking-Cap"))
-    print_header("Figure 12: batching choice")
-    print(batching_choice_sweep(count=4).report("Batching"))
-    print_header("Figure 13: within-batch ranking")
-    print(ranking_scheme_sweep(count=4).report("Ranking"))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ..core.abstract_model import AbstractBatch, ScheduleResult
-from .reporting import format_table, print_header
+from .reporting import format_table
 
 __all__ = ["FIG3_BATCH", "Fig3Result", "run_fig3"]
 
@@ -71,12 +71,3 @@ def run_fig3(batch: AbstractBatch | None = None) -> Fig3Result:
             for policy in ("fcfs", "fr-fcfs", "par-bs")
         }
     )
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print_header("Figure 3: abstract within-batch scheduling")
-    print(run_fig3().report())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

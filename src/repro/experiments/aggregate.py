@@ -17,7 +17,7 @@ from ..metrics.summary import WorkloadResult, geomean
 from ..sim.runner import ExperimentRunner
 from ..workloads.mixes import FIG8_SAMPLE_MIXES, SIXTEEN_CORE_MIXES, random_mixes
 from .paper_values import SCHEDULERS, TABLE4
-from .reporting import format_table, print_header
+from .reporting import format_table
 
 __all__ = [
     "AggregateResult",
@@ -188,13 +188,3 @@ def _run_aggregate_direct(
     for (_mix, scheduler, _kwargs), result in zip(specs, results):
         per_mix[scheduler].append(result)
     return AggregateResult(num_cores=num_cores, mixes=mixes, per_mix=per_mix)
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    for cores in (4, 8, 16):
-        print_header(f"{cores}-core aggregate")
-        print(run_aggregate(cores).report())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

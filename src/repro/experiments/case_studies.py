@@ -20,7 +20,7 @@ from .paper_values import (
     FIG9_UNFAIRNESS,
     SCHEDULERS,
 )
-from .reporting import ascii_bars, format_table, print_header
+from .reporting import ascii_bars, format_table
 
 __all__ = ["CaseStudyResult", "run_case_study", "CASE_STUDIES"]
 
@@ -82,13 +82,3 @@ def run_case_study(
     return CaseStudyResult(
         name=name, workload=list(workload), results=results, paper_unfairness=paper
     )
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    for name in CASE_STUDIES:
-        print_header(name)
-        print(run_case_study(name).report())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from ..config import baseline_system
 from ..sim.runner import AloneStats, ExperimentRunner
 from ..workloads.profiles import PROFILES, BenchmarkProfile
-from .reporting import format_table, print_header
+from .reporting import format_table
 
 __all__ = ["CharacterizationResult", "run_characterization"]
 
@@ -76,12 +76,3 @@ def run_characterization(
         mpki = trace.accesses_per_kilo_instruction()
         rows.append((profile, stats, mpki))
     return CharacterizationResult(rows=rows)
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print_header("Table 3: benchmark characterization")
-    print(run_characterization().report())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

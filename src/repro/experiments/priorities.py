@@ -21,7 +21,7 @@ from ..config import baseline_system
 from ..core.batcher import OPPORTUNISTIC
 from ..metrics.summary import WorkloadResult
 from ..sim.runner import ExperimentRunner
-from .reporting import format_table, print_header
+from .reporting import format_table
 
 __all__ = ["PriorityScenarioResult", "run_weighted_lbm", "run_opportunistic"]
 
@@ -100,14 +100,3 @@ def run_opportunistic(
         labels=["low", "low", "high", "low"],
         results=results,
     )
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print_header("Figure 14 left: weighted lbm copies")
-    print(run_weighted_lbm().report())
-    print_header("Figure 14 right: opportunistic service")
-    print(run_opportunistic().report())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Sequence
 
-__all__ = ["format_table", "format_metric_block", "print_header", "ascii_bars"]
+__all__ = ["format_table", "ascii_bars"]
 
 
 def format_table(
@@ -30,32 +30,6 @@ def format_table(
     for row in rendered_rows:
         lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
     return "\n".join(lines)
-
-
-def format_metric_block(
-    metrics: Mapping[str, Mapping[str, float]],
-    paper: Mapping[str, Mapping[str, float]] | None = None,
-) -> str:
-    """Render per-scheduler metrics, optionally alongside paper values.
-
-    ``metrics`` maps scheduler name to {metric: value}; ``paper`` has the
-    same shape with the published numbers.
-    """
-    metric_names = sorted({m for vals in metrics.values() for m in vals})
-    headers = ["scheduler"]
-    for m in metric_names:
-        headers.append(m)
-        if paper is not None:
-            headers.append(f"{m}(paper)")
-    rows = []
-    for scheduler, vals in metrics.items():
-        row: list[object] = [scheduler]
-        for m in metric_names:
-            row.append(vals.get(m, float("nan")))
-            if paper is not None:
-                row.append(paper.get(scheduler, {}).get(m, float("nan")))
-        rows.append(row)
-    return format_table(headers, rows)
 
 
 def ascii_bars(
@@ -81,11 +55,6 @@ def ascii_bars(
         bar = "#" * max(1, round(width * value / peak)) if value > 0 else ""
         lines.append(f"{key.ljust(label_width)}  {bar.ljust(width)}  {value:.3f}")
     return "\n".join(lines)
-
-
-def print_header(title: str) -> None:
-    bar = "=" * len(title)
-    print(f"\n{bar}\n{title}\n{bar}")
 
 
 def _fmt(cell: object) -> str:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .aggregate import AggregateResult, run_aggregate
 from .paper_values import TABLE4
-from .reporting import format_table, print_header
+from .reporting import format_table
 
 __all__ = ["Table4Result", "run_table4"]
 
@@ -100,12 +100,3 @@ def run_table4(
             cores, count=count, instructions=instructions, seed=seed, store=store
         )
     return Table4Result(aggregates=aggregates)
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print_header("Table 4: system summary")
-    print(run_table4().report())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

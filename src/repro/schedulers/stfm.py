@@ -102,11 +102,6 @@ class StfmScheduler(Scheduler):
         ]
 
     # -- bookkeeping -----------------------------------------------------------
-    def _advance(self, thread_id: int, now: int) -> None:
-        if self._outstanding[thread_id] > 0:
-            self._t_shared[thread_id] += now - self._last_change[thread_id]
-        self._last_change[thread_id] = now
-
     def _decay(self, now: int) -> None:
         if now - self._last_decay < self.interval_length:
             return
@@ -119,19 +114,14 @@ class StfmScheduler(Scheduler):
             self._sd_dirty[tid] = True
         self._sd_any_dirty = True
 
-    def _mark_dirty(self, thread_id: int) -> None:
-        self._sd_dirty[thread_id] = True
-        self._sd_any_dirty = True
-
     def _bank_parallelism(self, thread_id: int) -> int:
         count = self._busy_bank_count[thread_id]
         return count if count > 1 else 1
 
     # The three lifecycle hooks run once per request event and together
-    # dominate STFM's bookkeeping cost, so ``_advance``, ``_mark_dirty``
-    # and the (almost always false) ``_decay`` trigger check are inlined
-    # into their bodies; the helper methods above remain the documented
-    # reference for what the inlined statements do.
+    # dominate STFM's bookkeeping cost, so their bookkeeping is inlined:
+    # while a thread has reads outstanding its shared time accrues, and
+    # each event marks its slowdown estimate dirty.
     def on_enqueue(self, request: MemoryRequest, now: int) -> None:
         if not request.is_read:
             return

@@ -1,11 +1,12 @@
-"""Whole-system wiring: cores + (optional caches) + shared DRAM controller.
+"""Whole-system wiring: cores + shared DRAM controller.
 
 :class:`System` assembles one simulated CMP: per-core trace-driven
-processors, an optional per-core two-level cache hierarchy, and the shared
-memory controller running a pluggable scheduling policy.  ``run()``
-executes until every core has completed its trace once (finished cores
-keep re-running their traces so memory pressure stays realistic, matching
-the paper's equal-instruction-slice methodology).
+processors whose traces are L2-miss streams, and the shared memory
+controller running a pluggable scheduling policy.  No cache is modelled:
+every core access goes straight to DRAM.  ``run()`` executes until every
+core has completed its trace once (finished cores keep re-running their
+traces so memory pressure stays realistic, matching the paper's
+equal-instruction-slice methodology).
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import gc
 import heapq
 from typing import Callable
 
-from ..cache.hierarchy import CacheHierarchy
 from ..config import SystemConfig
 from ..cpu.core import Core
 from ..cpu.trace import Trace
@@ -42,7 +42,7 @@ PROGRESS_HOOK = None
 
 
 class DramPort:
-    """Adapter from the core/cache ``access`` protocol to the controller."""
+    """Adapter from the core's ``access`` protocol to the controller."""
 
     def __init__(self, controller: MemoryController, mapping: AddressMapping) -> None:
         self.controller = controller
@@ -80,12 +80,9 @@ class System:
     scheduler:
         The DRAM arbitration policy under test.
     traces:
-        One instruction trace per core.
-    use_caches:
-        Route core accesses through per-core L1/L2 hierarchies.  When
-        False (default), traces are interpreted as L2-miss streams and go
-        straight to DRAM, which is how the calibrated synthetic workloads
-        are meant to be used.
+        One instruction trace per core.  Each is an L2-miss stream: its
+        loads and stores go straight to DRAM, which is how the calibrated
+        synthetic workloads and trace files are meant to be used.
     repeat:
         Restart finished traces to keep contention steady until every core
         has completed at least once.
@@ -117,7 +114,6 @@ class System:
         config: SystemConfig,
         scheduler: Scheduler,
         traces: list[Trace],
-        use_caches: bool = False,
         repeat: bool = True,
         tracer=None,
         telemetry=None,
@@ -170,24 +166,13 @@ class System:
         # the python backend, which has no such cache).
         self.min_rebuilds = 0
         self.cores: list[Core] = []
-        self.hierarchies: list[CacheHierarchy] = []
         core_probe = tracer.probe("core") if tracer is not None else None
         for thread_id, trace in enumerate(traces):
-            memory = self.port
-            if use_caches:
-                hierarchy = CacheHierarchy(
-                    thread_id,
-                    self.queue,
-                    self.port,
-                    mshrs=config.core.mshrs,
-                )
-                self.hierarchies.append(hierarchy)
-                memory = hierarchy
             core = Core(
                 thread_id,
                 trace,
                 self.queue,
-                memory,
+                self.port,
                 config=config.core,
                 repeat=repeat,
                 probe=core_probe,

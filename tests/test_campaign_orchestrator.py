@@ -121,7 +121,7 @@ def test_exhausted_retries_recorded_as_failed(tmp_path, monkeypatch):
     with ResultStore(tmp_path / "db.sqlite") as store:
         stats = run_campaign(spec, store, jobs=1, retries=1, backoff_s=0.0)
         assert (stats.ran, stats.failed, stats.retried) == (0, 1, 1)
-        failures = store.failures(spec.fingerprint())
+        failures = store.failures_for(j.key for j in spec.expand())
         assert list(failures.values()) == ["RuntimeError: permanent failure"]
         # run_and_collect refuses to average over a partial grid.
         with pytest.raises(RuntimeError, match="did not complete"):

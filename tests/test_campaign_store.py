@@ -5,6 +5,7 @@ import threading
 
 import pytest
 
+from repro.campaign.queue import LeaseQueue
 from repro.campaign.serde import result_from_json, result_to_json
 from repro.campaign.spec import CampaignSpec, Variant
 from repro.campaign.store import SCHEMA_VERSION, ResultStore, default_db_path
@@ -39,6 +40,18 @@ def _spec(**overrides) -> CampaignSpec:
     )
     base.update(overrides)
     return CampaignSpec(**base)
+
+
+def _complete(store, spec, key, result, wall_time_s=None) -> None:
+    """Record ``result`` for ``key`` the way workers do: claim, then a
+    fenced complete."""
+    queue = LeaseQueue(store, spec.fingerprint())
+    assert queue.complete(queue.claim_next([key]), result, wall_time_s)
+
+
+def _fail(store, spec, key, error) -> None:
+    queue = LeaseQueue(store, spec.fingerprint())
+    assert queue.fail(queue.claim_next([key]), error)
 
 
 # -- serde --------------------------------------------------------------------
@@ -77,9 +90,9 @@ def test_record_result_round_trip(tmp_path, sample_result):
     grid = spec.expand()
     with ResultStore(tmp_path / "db.sqlite") as store:
         store.register(spec, grid)
-        store.record_result(grid[0].key, sample_result, wall_time_s=1.25)
-        assert store.result(grid[0].key) == sample_result
-        assert store.result(grid[1].key) is None
+        _complete(store, spec, grid[0].key, sample_result, wall_time_s=1.25)
+        keys = [grid[0].key, grid[1].key]
+        assert store.results_for(keys) == {grid[0].key: sample_result}
         assert store.counts(spec.fingerprint())["done"] == 1
         row = store._conn.execute(
             "SELECT attempts, wall_time_s FROM jobs WHERE key = ?",
@@ -92,15 +105,16 @@ def test_record_result_round_trip(tmp_path, sample_result):
 def test_record_failure_then_success(tmp_path, sample_result):
     spec = _spec()
     grid = spec.expand()
+    key = grid[0].key
     with ResultStore(tmp_path / "db.sqlite") as store:
         store.register(spec, grid)
-        store.record_failure(grid[0].key, "RuntimeError: boom")
-        assert store.failures(spec.fingerprint()) == {grid[0].key: "RuntimeError: boom"}
+        _fail(store, spec, key, "RuntimeError: boom")
+        assert store.failures_for([key]) == {key: "RuntimeError: boom"}
         assert store.counts(spec.fingerprint())["failed"] == 1
         # A later success clears the failure.
-        store.record_result(grid[0].key, sample_result)
-        assert store.failures(spec.fingerprint()) == {}
-        assert store.statuses([grid[0].key]) == {grid[0].key: "done"}
+        _complete(store, spec, key, sample_result)
+        assert store.failures_for([key]) == {}
+        assert store.statuses([key]) == {key: "done"}
 
 
 def test_results_for_crosses_campaigns(tmp_path, sample_result):
@@ -114,9 +128,10 @@ def test_results_for_crosses_campaigns(tmp_path, sample_result):
         store.register(spec_a, spec_a.expand())
         assert store.register(spec_b, spec_b.expand()) == 0  # all shared
         key = next(iter(shared_keys))
-        store.record_result(key, sample_result)
-        # Campaign-scoped query sees it only under a; key-scoped sees it.
-        assert key not in store.results(spec_b.fingerprint())
+        _complete(store, spec_b, key, sample_result)
+        # The row belongs to a; the key-scoped query serves b as well.
+        assert store.counts(spec_a.fingerprint())["done"] == 1
+        assert store.counts(spec_b.fingerprint())["total"] == 0
         assert store.results_for([key])[key] == sample_result
         assert store.statuses([key]) == {key: "done"}
 
@@ -127,9 +142,9 @@ def test_store_persists_across_connections(tmp_path, sample_result):
     path = tmp_path / "db.sqlite"
     with ResultStore(path) as store:
         store.register(spec, grid)
-        store.record_result(grid[0].key, sample_result)
+        _complete(store, spec, grid[0].key, sample_result)
     with ResultStore(path) as store:
-        assert store.result(grid[0].key) == sample_result
+        assert store.results_for([grid[0].key]) == {grid[0].key: sample_result}
         assert store.counts(spec.fingerprint())["done"] == 1
 
 

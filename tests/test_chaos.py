@@ -108,8 +108,9 @@ def test_store_commit_survives_injected_sqlite_error(tmp_path):
     store = ResultStore(tmp_path / "store.sqlite")
     store.chaos = _plan(tmp_path, "sqlite=1,seed=2")
     # One injected OperationalError per commit key; the retry absorbs it.
-    store.record_failure("feedface", "boom")
-    store.record_failure("feedface", "boom again")  # marker: no re-injection
+    store.record_progress("feedface", 1, None, "retrying")
+    store.record_progress("feedface", 1, None, "failed")  # marker: no re-injection
+    assert store.progress_for(["feedface"])["feedface"]["status"] == "failed"
     store.close()
 
 
@@ -125,7 +126,7 @@ def test_store_commit_reraises_persistent_sqlite_error(tmp_path, monkeypatch):
 
     store.chaos = AlwaysLocked()
     with pytest.raises(sqlite3.OperationalError):
-        store.record_failure("feedface", "boom")
+        store.record_progress("feedface", 1, None, "failed")
     store.close()
 
 

@@ -46,24 +46,3 @@ def test_iteration_and_indexing():
     assert list(trace) == entries
     assert trace[1].address == 128
 
-
-def test_save_load_roundtrip(tmp_path):
-    entries = [
-        TraceEntry(5, 64),
-        TraceEntry(0, 128, is_write=True),
-        TraceEntry(3, 192, depends_on=0),
-    ]
-    trace = Trace(entries, name="demo")
-    path = tmp_path / "trace.jsonl"
-    trace.save(path)
-    loaded = Trace.load(path)
-    assert loaded.name == "demo"
-    assert list(loaded) == entries
-
-
-def test_load_without_depends_on_field(tmp_path):
-    path = tmp_path / "legacy.jsonl"
-    path.write_text('{"name": "legacy"}\n[3, 64, false]\n')
-    loaded = Trace.load(path)
-    assert loaded[0] == TraceEntry(3, 64)
-    assert loaded[0].depends_on is None

@@ -14,7 +14,7 @@ from repro.experiments.case_studies import CASE_STUDIES, run_case_study
 from repro.experiments.characterization import run_characterization
 from repro.experiments.paper_values import SCHEDULERS, TABLE4
 from repro.experiments.priorities import run_opportunistic, run_weighted_lbm
-from repro.experiments.reporting import format_metric_block, format_table
+from repro.experiments.reporting import format_table
 from repro.sim.runner import ExperimentRunner
 
 INSTRUCTIONS = 25_000
@@ -137,10 +137,3 @@ def test_format_table_alignment():
     lines = text.splitlines()
     assert len(lines) == 4
     assert lines[0].startswith("a")
-
-
-def test_format_metric_block_with_paper():
-    text = format_metric_block(
-        {"X": {"unf": 1.5}}, paper={"X": {"unf": 1.2}}
-    )
-    assert "unf(paper)" in text

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.config import CoreConfig, DramConfig, SystemConfig, baseline_system
-from repro.experiments.reporting import format_metric_block, format_table
+from repro.experiments.reporting import format_table
 from repro.workloads.generator import TraceGenerator
 from repro.workloads.profiles import BenchmarkProfile
 
@@ -25,12 +25,6 @@ def test_format_table_pads_columns():
     text = format_table(["long-header", "y"], [["a", "b"]])
     header, sep, row = text.splitlines()
     assert len(header) == len(sep)
-
-
-def test_format_metric_block_without_paper():
-    text = format_metric_block({"S": {"unf": 1.0, "ws": 2.0}})
-    assert "unf" in text and "ws" in text
-    assert "paper" not in text
 
 
 def test_dram_config_mapping_consistent():

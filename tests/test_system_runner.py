@@ -62,19 +62,6 @@ def test_system_runs_simple_traces():
     assert all(core.snapshot is not None for core in system.cores)
 
 
-def test_system_with_caches_filters_traffic():
-    # A trace that re-touches the same lines: caches absorb the repeats.
-    entries = [TraceEntry(10, (i % 8) * 64) for i in range(100)]
-    traces = [Trace(entries)]
-    system = System(
-        SystemConfig(num_cores=1), make_scheduler("FR-FCFS", 1), traces,
-        use_caches=True,
-    )
-    system.run()
-    assert system.hierarchies[0].dram_reads <= 8
-    assert system.cores[0].snapshot is not None
-
-
 def test_alone_stats_cached(runner):
     first = runner.alone("hmmer")
     second = runner.alone("hmmer")

@@ -2,7 +2,7 @@
 results, and the serial-vs-parallel trace determinism contract.
 
 The determinism contract (mirroring the golden-equivalence harness in
-``test_rqindex.py``): a simulation's event stream is a pure function of
+``test_buffers.py``): a simulation's event stream is a pure function of
 its job description, so running the same specs serially and under
 ``jobs=N`` must produce byte-identical per-job JSONL trace files —
 request ids are run-relative, field order is pinned, and newline handling
