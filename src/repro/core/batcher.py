@@ -47,6 +47,10 @@ OPPORTUNISTIC = 1 << 20
 NO_CAP = 1 << 30
 
 
+def _ignore_batch(marked: list[MemoryRequest], now: int) -> None:
+    """Default ``on_new_batch``: no scheduler listens."""
+
+
 class Batcher:
     """Base batching engine.
 
@@ -68,7 +72,7 @@ class Batcher:
         self.priorities = dict(priorities or {})
         self.controller: "MemoryController | None" = None
         self.on_new_batch: Callable[[list[MemoryRequest], int], None] = (
-            lambda marked, now: None
+            _ignore_batch
         )
 
         self.total_marked = 0
@@ -94,6 +98,11 @@ class Batcher:
         self._guard = guard
         if guard is not None:
             guard.attach_batcher(self)
+
+    def release(self) -> None:
+        """Detach from the controller and scheduler after the run."""
+        self.controller = None
+        self.on_new_batch = _ignore_batch
 
     def priority_of(self, thread_id: int) -> int:
         return self.priorities.get(thread_id, 1)

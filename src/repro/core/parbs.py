@@ -118,12 +118,7 @@ class ParBsScheduler(Scheduler):
         if any(level < 0 or level >= 1 << 21 for level in self.priorities.values()):
             raise ValueError("priority levels must be in [0, 2**21)")
         self.index_uses_row = within_batch != "fcfs"
-        if within_batch == "par":
-            self.pack_key = self._pack_key_ranked
-            self.pack_prefix_shift = 31 + 40
-        else:
-            self.pack_key = self._pack_key_plain
-            self.pack_prefix_shift = 40
+        self.pack_prefix_shift = 31 + 40 if within_batch == "par" else 40
         if within_batch == "par":
             self.ranking: ThreadRanking | None = (
                 ranking if isinstance(ranking, ThreadRanking) else make_ranking(ranking, seed)
@@ -159,16 +154,19 @@ class ParBsScheduler(Scheduler):
         if isinstance(self.batcher, StaticBatcher):
             self._schedule_static_tick()
 
+    def release(self) -> None:
+        super().release()
+        self.batcher.release()
+
     def _schedule_static_tick(self) -> None:
-        assert isinstance(self.batcher, StaticBatcher)
+        batcher = self.batcher
+        assert isinstance(batcher, StaticBatcher)
         queue = self.controller.queue
-        period = self.batcher.batch_duration
-
-        def tick() -> None:
-            self.batcher.tick(queue.now)
-            queue.schedule_in(period, tick, priority=3)
-
-        queue.schedule_in(period, tick, priority=3)
+        # A periodic task, not a self-rescheduling closure: a closure that
+        # names itself is a reference cycle.
+        queue.schedule_every(
+            batcher.batch_duration, lambda: batcher.tick(queue.now), priority=3
+        )
 
     def _on_new_batch(self, marked: list[MemoryRequest], now: int = 0) -> None:
         # A batch boundary rewrites marks (and possibly ranks) across the
@@ -219,6 +217,14 @@ class ParBsScheduler(Scheduler):
     # -- arbitration ----------------------------------------------------------------
     def rank_of(self, thread_id: int) -> int:
         return self._ranks.get(thread_id, UNRANKED)
+
+    @property
+    def pack_key(self):  # type: ignore[override]
+        # Not bound in ``__init__``: a stored bound method is a reference
+        # cycle.  Readers fetch it once per run or per key repack.
+        if self.within_batch == "par":
+            return self._pack_key_ranked
+        return self._pack_key_plain
 
     def _pack_key_ranked(self, request: MemoryRequest) -> int:
         return (

@@ -220,6 +220,15 @@ class Core:
         """Register the core's first wake-up with the event queue."""
         self.queue.schedule(0, self._wake, priority=4)
 
+    def release(self) -> None:
+        """Drop the engine references after the run; statistics stay.
+        Buffered requests still carry this core's data-return callback."""
+        self.memory = None
+        self._fast_access = None
+        self.on_finished = None
+        self._wake_cb = None
+        self._on_data_cb = None
+
     def _wake(self) -> None:
         self._wake_at = None
         self._advance(self.queue.now, True)

@@ -509,6 +509,14 @@ class MemoryController:
                 priority=2,
             )
 
+    def release(self) -> None:
+        """Drop the engine references after the run (and have the
+        scheduler and guard drop theirs); state and statistics stay."""
+        self._wake_cbs = {}
+        self.scheduler.release()
+        if self.guard is not None:
+            self.guard.release()
+
     # ------------------------------------------------------------- reporting
     def worst_case_latency(self) -> int:
         """Worst request latency observed across all threads."""

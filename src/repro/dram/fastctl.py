@@ -1079,6 +1079,12 @@ class FastMemoryController(MemoryController):
             self.events_elided -= self._phantom_count
             self._phantom_seq = -2
 
+    def release(self) -> None:
+        """Also drop the callbacks pre-bound to the controller itself."""
+        super().release()
+        self._wake_kid_cb = None
+        self._complete_cb = None
+
     # ----------------------------------------------------------- interop
     def sync_state(self) -> None:
         """Flush array state back into the object model.

@@ -163,6 +163,10 @@ class EventQueue:
             self.now = until
         return count
 
+    def release(self) -> None:
+        """Drop every pending event (the run is over); ``now`` stays."""
+        self._heap.clear()
+
     def peek_time(self) -> int | None:
         """Time of the next pending event, or ``None`` if the queue is empty."""
         return self._heap[0][0] if self._heap else None

@@ -184,6 +184,11 @@ class Guard:
             level == 1 for level in batcher.priorities.values()
         )
 
+    def release(self) -> None:
+        """Detach after the run; counters and violations stay."""
+        self.controller = None
+        self._batcher = None
+
     # -- violation plumbing ------------------------------------------------
     def _report(self, violation: InvariantViolation) -> None:
         GUARD_STATS[violation.kind] = GUARD_STATS.get(violation.kind, 0) + 1

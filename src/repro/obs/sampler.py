@@ -144,6 +144,8 @@ class Telemetry:
         self.samples: list[dict] = []
         self.histograms: dict[int, LatencyHistogram] = {}
         self._system: "System | None" = None
+        # Kept past :meth:`release` for the bus totals in :meth:`summary`.
+        self._channels: list = []
         self._task = None
         # Windowed row-hit accounting: totals at the previous sample.
         self._last_hits = 0
@@ -160,6 +162,7 @@ class Telemetry:
     def attach(self, system: "System") -> None:
         """Bind to a system and start the periodic sampler (if configured)."""
         self._system = system
+        self._channels = system.controller.channels
         if self.sample_interval is not None:
             self._task = system.queue.schedule_every(
                 self.sample_interval, self._sample, priority=5
@@ -207,12 +210,15 @@ class Telemetry:
             self._task.cancel()
             self._task = None
 
+    def release(self) -> None:
+        """Detach from the system after the run; the summary stays."""
+        self._system = None
+
     # -- reporting ----------------------------------------------------------
     def summary(self) -> TelemetrySummary:
         bus: dict[str, float] = {}
-        system = self._system
-        if system is not None:
-            buses = [channel.bus for channel in system.controller.channels]
+        if self._channels:
+            buses = [channel.bus for channel in self._channels]
             bus = {
                 "busy_cycles": float(sum(b.busy_cycles for b in buses)),
                 "wait_cycles": float(sum(b.wait_cycles for b in buses)),

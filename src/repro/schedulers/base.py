@@ -104,6 +104,10 @@ class Scheduler(ABC):
         self._p_sched = tracer.probe("sched") if tracer is not None else None
         self._guard = getattr(controller, "guard", None)
 
+    def release(self) -> None:
+        """Detach from the controller after the run; state stays."""
+        self.controller = None
+
     def bump_index_epoch(self, now: int) -> None:
         """Invalidate every bank's packed keys (and trace it)."""
         self.index_epoch += 1

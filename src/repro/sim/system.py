@@ -154,6 +154,7 @@ class System:
         self._sync_state = getattr(self.controller, "sync_state", None)
 
         self._finished = 0
+        self._ran = False
         # Events processed by the last ``run()``.  ``events_logical`` adds
         # the wakes the fast backend elided (see fastctl): it equals the
         # python backend's processed count for the same run and is the
@@ -199,7 +200,13 @@ class System:
         """Run until every core finishes its trace once.
 
         Returns the simulation time (cycles) at which the last core
-        finished.  Raises if the event budget is exhausted first, or —
+        finished.  A system runs once: a second call raises
+        :class:`SimulationError`.  A completed run releases the event
+        engine (pending events, pre-bound callbacks, back-references) and
+        keeps every statistic, so the finished system is acyclic and
+        dropping it frees the simulation by reference counting.
+
+        Raises if the event budget is exhausted first, or —
         when at least ``watchdog_cycles`` simulated cycles pass with zero
         instruction commits anywhere — a :class:`SimulationStalled`
         carrying a diagnostic dump of queue/core/bank/batch state
@@ -219,6 +226,11 @@ class System:
         ``fn(arg)``.  Mixing them in one heap is safe because sequence
         numbers are unique — tuple comparison never reaches element 3.
         """
+        if self._ran:
+            raise SimulationError(
+                "this System already ran; build a new System to run again"
+            )
+        self._ran = True
         for core in self.cores:
             core.start()
         queue = self.queue
@@ -236,9 +248,10 @@ class System:
         progress_time = 0
         # The simulation allocates short-lived objects (heap tuples,
         # requests, outcomes) at a rate that triggers hundreds of gen-0
-        # collection passes per run, none of which free anything the
-        # reference counter wouldn't — the hot-path object graph is
-        # acyclic.  Pause the collector for the duration of the loop.
+        # collection passes per run, none of which free anything: those
+        # objects die by reference counting, and the long-lived cycles
+        # live until ``_release`` breaks them.  Pause the collector for
+        # the duration of the loop.
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
             gc.disable()
@@ -304,4 +317,14 @@ class System:
             self.telemetry.finalize(queue.now)
         if self.guard is not None:
             self.guard.finalize(queue.now)
+        self._release()
         return queue.now
+
+    def _release(self) -> None:
+        """Break every reference cycle of the finished run (see :meth:`run`)."""
+        self.queue.release()
+        for core in self.cores:
+            core.release()
+        self.controller.release()
+        if self.telemetry is not None:
+            self.telemetry.release()

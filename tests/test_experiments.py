@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.config import baseline_system
 from repro.experiments.abstract_fig3 import FIG3_BATCH, run_fig3
 from repro.experiments.ablations import (
     batching_choice_sweep,
@@ -34,8 +33,6 @@ def test_fig3_policy_ordering():
 
 
 def test_fig3_layout_matches_paper_constraints():
-    from repro.core.ranking import batch_loads
-
     loads_by_thread = {}
     per_bank = {}
     for r in FIG3_BATCH.requests:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.config import CoreConfig, DramConfig, SystemConfig, baseline_system
+from repro.config import DramConfig, SystemConfig, baseline_system
 from repro.experiments.reporting import format_table
 from repro.workloads.generator import TraceGenerator
 from repro.workloads.profiles import BenchmarkProfile
