@@ -10,40 +10,33 @@ fairness and throughput) without per-workload tuning.
 
 import os
 
-from conftest import run_once
+from conftest import bench_instructions, run_once
 
-from repro.experiments.ablations import SweepResult, _mix_set
-from repro.experiments.reporting import format_table
+from repro.campaign.spec import CampaignSpec, Variant
+from repro.experiments.ablations import run_sweep
 
 
-def test_ext_adaptive_marking_cap(benchmark, runner4):
+def test_ext_adaptive_marking_cap(benchmark):
     count = max(1, int(os.environ.get("REPRO_WORKLOADS", "4")) // 2)
+    spec = CampaignSpec(
+        name="adaptive-cap",
+        description="Extension: adaptive vs fixed Marking-Cap",
+        variants=(
+            Variant("c=1", "PAR-BS", (("marking_cap", 1),)),
+            Variant("c=5", "PAR-BS", (("marking_cap", 5),)),
+            Variant("no-c", "PAR-BS", (("marking_cap", None),)),
+            Variant("adaptive", "PAR-BS", (("batching", "adaptive"),)),
+        ),
+        mix_count=count,
+        mix_seed=42,
+        include_case_studies=True,
+        instructions=bench_instructions(),
+    )
 
-    def run():
-        mixes = _mix_set(count, include_case_studies=True, seed=42)
-        variants = {
-            "c=1": [runner4.run_workload(m, "PAR-BS", marking_cap=1) for m in mixes],
-            "c=5": [runner4.run_workload(m, "PAR-BS", marking_cap=5) for m in mixes],
-            "no-c": [runner4.run_workload(m, "PAR-BS", marking_cap=None) for m in mixes],
-            "adaptive": [
-                runner4.run_workload(m, "PAR-BS", batching="adaptive") for m in mixes
-            ],
-        }
-        return SweepResult(variants=variants, mixes=mixes)
-
-    result = run_once(benchmark, run)
+    result = run_once(benchmark, lambda: run_sweep(spec))
     summary = result.summary()
     print()
-    print(
-        format_table(
-            ["variant", "unfairness", "wspeedup", "hspeedup"],
-            [
-                [label, v["unfairness"], v["wspeedup"], v["hspeedup"]]
-                for label, v in summary.items()
-            ],
-            title="Extension: adaptive Marking-Cap",
-        )
-    )
+    print(result.report("Extension: adaptive Marking-Cap"))
 
     # The adaptive cap must stay competitive with the best fixed setting.
     best_ws = max(v["wspeedup"] for v in summary.values())

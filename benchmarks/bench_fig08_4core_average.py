@@ -8,16 +8,21 @@ STFM, PAR-BS) cluster at much lower unfairness with PAR-BS/STFM ahead on
 throughput.
 """
 
-from conftest import bench_workloads, run_once
+from conftest import bench_instructions, bench_workloads, run_once
 
 from repro.experiments.aggregate import run_aggregate
 
 
-def test_fig8_4core_average(benchmark, runner4):
+def test_fig8_4core_average(benchmark):
     count = bench_workloads(4)
     result = run_once(
         benchmark,
-        lambda: run_aggregate(4, count=count, runner=runner4, include_sample_mixes=True),
+        lambda: run_aggregate(
+            4,
+            count=count,
+            instructions=bench_instructions(),
+            include_sample_mixes=True,
+        ),
     )
     print()
     print(result.report())

@@ -6,16 +6,16 @@ the DRAM system becomes a bigger bottleneck at 16 cores; STFM and PAR-BS
 remain far fairer than FR-FCFS/FCFS/NFQ, with PAR-BS best on both metrics.
 """
 
-from conftest import bench_workloads, run_once
+from conftest import bench_instructions, bench_workloads, run_once
 
 from repro.experiments.aggregate import run_aggregate
 
 
-def test_fig10_16core_average(benchmark, runner16):
+def test_fig10_16core_average(benchmark):
     count = bench_workloads(16)
     result = run_once(
         benchmark,
-        lambda: run_aggregate(16, count=count, runner=runner16),
+        lambda: run_aggregate(16, count=count, instructions=bench_instructions()),
     )
     print()
     print(result.report())

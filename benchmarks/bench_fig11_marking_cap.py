@@ -9,17 +9,19 @@ large / no cap drifts back toward FR-FCFS-like unfairness.
 
 import os
 
-from conftest import run_once
+from conftest import bench_instructions, run_once
 
 from repro.experiments.ablations import marking_cap_sweep
 
 
-def test_fig11_marking_cap(benchmark, runner4):
+def test_fig11_marking_cap(benchmark):
     caps = [1, 2, 3, 5, 8, 10, 20, None]
     count = max(1, int(os.environ.get("REPRO_WORKLOADS", "4")) // 2)
     result = run_once(
         benchmark,
-        lambda: marking_cap_sweep(caps=caps, count=count, runner=runner4),
+        lambda: marking_cap_sweep(
+            caps=caps, count=count, instructions=bench_instructions()
+        ),
     )
     print()
     print(result.report("Figure 11: Marking-Cap sweep"))

@@ -10,17 +10,19 @@ fairness and throughput.
 
 import os
 
-from conftest import run_once
+from conftest import bench_instructions, run_once
 
 from repro.experiments.ablations import batching_choice_sweep
 
 
-def test_fig12_batching_choice(benchmark, runner4):
+def test_fig12_batching_choice(benchmark):
     durations = [400, 1600, 3200, 12800, 25600]
     count = max(1, int(os.environ.get("REPRO_WORKLOADS", "4")) // 2)
     result = run_once(
         benchmark,
-        lambda: batching_choice_sweep(durations=durations, count=count, runner=runner4),
+        lambda: batching_choice_sweep(
+            durations=durations, count=count, instructions=bench_instructions()
+        ),
     )
     print()
     print(result.report("Figure 12: batching choice"))

@@ -12,17 +12,19 @@ negligible for the low-BLP one (4x matlab).
 
 import os
 
-from conftest import run_once
+from conftest import bench_instructions, run_once
 
 from repro.experiments.ablations import ranking_scheme_sweep
 
 
-def test_fig13_within_batch_ranking(benchmark, runner4):
+def test_fig13_within_batch_ranking(benchmark):
     count = max(1, int(os.environ.get("REPRO_WORKLOADS", "4")) // 2)
     extra = [["lbm"] * 4, ["matlab"] * 4]
     result = run_once(
         benchmark,
-        lambda: ranking_scheme_sweep(count=count, runner=runner4, extra_mixes=extra),
+        lambda: ranking_scheme_sweep(
+            count=count, instructions=bench_instructions(), extra_mixes=extra
+        ),
     )
     print()
     print(result.report("Figure 13: within-batch ranking (all mixes)"))

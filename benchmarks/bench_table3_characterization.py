@@ -10,7 +10,6 @@ high-MLP (low AST) benchmarks.
 from conftest import run_once
 
 from repro.experiments.characterization import run_characterization
-from repro.workloads.profiles import PROFILES, profile
 
 
 def test_table3_characterization(benchmark, runner4):

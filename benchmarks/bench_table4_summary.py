@@ -8,18 +8,19 @@ a far lower worst-case latency than the other QoS schedulers (batching
 bounds request deferral).
 """
 
-from conftest import bench_workloads, run_once
+from conftest import bench_instructions, bench_workloads, run_once
 
 from repro.experiments.aggregate import run_aggregate
 from repro.experiments.summary import Table4Result
 
 
-def test_table4_summary(benchmark, runner4, runner8, runner16):
+def test_table4_summary(benchmark):
     def run():
         aggregates = {
-            4: run_aggregate(4, count=bench_workloads(4), runner=runner4),
-            8: run_aggregate(8, count=bench_workloads(8), runner=runner8),
-            16: run_aggregate(16, count=bench_workloads(16), runner=runner16),
+            cores: run_aggregate(
+                cores, count=bench_workloads(cores), instructions=bench_instructions()
+            )
+            for cores in (4, 8, 16)
         }
         return Table4Result(aggregates=aggregates)
 

@@ -51,13 +51,6 @@ def runner8() -> ExperimentRunner:
     )
 
 
-@pytest.fixture(scope="session")
-def runner16() -> ExperimentRunner:
-    return ExperimentRunner(
-        baseline_system(16), instructions=bench_instructions(), jobs=default_jobs()
-    )
-
-
 def pytest_terminal_summary(terminalreporter) -> None:
     """Report how much work the persistent simulation cache saved."""
     stats = dict(GLOBAL_STATS)

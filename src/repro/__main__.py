@@ -491,23 +491,22 @@ def _dispatch(args: argparse.Namespace, instructions: int | None) -> int:
         print(run_table4(counts=counts, instructions=instructions).report())
         return 0
     if args.command == "sweep":
-        from .config import baseline_system
         from .experiments.ablations import (
             batching_choice_sweep,
             marking_cap_sweep,
             ranking_scheme_sweep,
         )
-        from .sim.runner import ExperimentRunner
 
-        runner = ExperimentRunner(baseline_system(4), instructions=instructions)
         if args.kind == "marking-cap":
-            result = marking_cap_sweep(count=args.count, runner=runner)
+            result = marking_cap_sweep(count=args.count, instructions=instructions)
             print(result.report("Figure 11: Marking-Cap sweep"))
         elif args.kind == "batching":
-            result = batching_choice_sweep(count=args.count, runner=runner)
+            result = batching_choice_sweep(
+                count=args.count, instructions=instructions
+            )
             print(result.report("Figure 12: batching choice"))
         else:
-            result = ranking_scheme_sweep(count=args.count, runner=runner)
+            result = ranking_scheme_sweep(count=args.count, instructions=instructions)
             print(result.report("Figure 13: within-batch ranking"))
         return 0
     if args.command == "campaign":

@@ -29,9 +29,10 @@ durable *campaigns*:
   merged ``sim.*``/``ops.*``/``wall.*`` metrics snapshot.
 
 CLI: ``python -m repro campaign run|status|resume|watch|report|export``.
-The ``aggregate``, ``sweep`` and ``table4`` experiments execute as
-campaigns under the hood, so every figure pipeline is restartable and
-queryable.
+The ``aggregate``, ``sweep`` and ``table4`` experiments execute only as
+campaigns (:func:`repro.experiments.ablations.run_sweep`; they take no
+runner and have no direct path), so every figure pipeline is restartable
+and queryable.
 """
 
 from .._lazy import lazy_exports

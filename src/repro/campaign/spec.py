@@ -150,9 +150,6 @@ class CampaignJob:
     def kwargs_dict(self) -> dict[str, Any]:
         return dict(self.kwargs)
 
-    def config(self) -> SystemConfig:
-        return baseline_system(self.num_cores)
-
 
 def job_key(
     config: SystemConfig | Mapping[str, Any],

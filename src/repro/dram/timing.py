@@ -8,7 +8,7 @@ a 64-bit channel).  At 4 GHz one nanosecond is 4 cycles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = ["DramTiming", "ddr2_800", "CPU_FREQ_GHZ"]
 

@@ -16,6 +16,7 @@ __getattr__, __dir__ = lazy_exports(
             "batching_choice_sweep",
             "marking_cap_sweep",
             "ranking_scheme_sweep",
+            "run_sweep",
         ),
         ".aggregate": ("AggregateResult", "run_aggregate"),
         ".case_studies": ("CASE_STUDIES", "CaseStudyResult", "run_case_study"),
@@ -37,6 +38,7 @@ __all__ = [
     "batching_choice_sweep",
     "marking_cap_sweep",
     "ranking_scheme_sweep",
+    "run_sweep",
     "AggregateResult",
     "default_workload_count",
     "run_aggregate",

@@ -7,16 +7,20 @@
 * Figure 13 — within-batch scheduling: Max-Total vs Total-Max vs random vs
   round-robin ranking, and rank-free FR-FCFS / FCFS within batches
   (batching without parallelism-awareness), plus STFM for reference.
+
+Every sweep is a campaign (:func:`run_sweep`): there is no ``runner``
+argument and no direct path, so a sweep runs on ``baseline_system(4)``
+with sim seed 0, resumes from the result store and reuses stored cells.
+The mix order is the campaign's (:meth:`CampaignSpec.mixes_for`): the two
+case studies when included, then explicit extra mixes, then the seeded
+random mixes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..config import baseline_system
 from ..metrics.summary import WorkloadResult, geomean
-from ..sim.runner import ExperimentRunner
-from ..workloads.mixes import CASE_STUDY_1, CASE_STUDY_2, random_mixes
 from .reporting import format_table
 
 __all__ = [
@@ -27,6 +31,7 @@ __all__ = [
     "marking_cap_spec",
     "batching_choice_spec",
     "ranking_scheme_spec",
+    "run_sweep",
     "MARKING_CAPS",
     "STATIC_DURATIONS",
     "RANKING_VARIANTS",
@@ -80,15 +85,6 @@ class SweepResult:
         return {t.benchmark: t.memory_slowdown for t in result.threads}
 
 
-def _mix_set(count: int, include_case_studies: bool, seed: int) -> list[list[str]]:
-    mixes: list[list[str]] = []
-    if include_case_studies:
-        mixes.append(list(CASE_STUDY_1))
-        mixes.append(list(CASE_STUDY_2))
-    mixes.extend(random_mixes(4, count=count, seed=seed))
-    return mixes
-
-
 def _sweep_spec(
     name: str,
     description: str,
@@ -98,6 +94,7 @@ def _sweep_spec(
     seed: int,
     instructions: int | None,
     sim_seed: int = 0,
+    mixes: list[list[str]] | None = None,
 ) -> "CampaignSpec":
     from ..campaign.spec import CampaignSpec
 
@@ -108,6 +105,7 @@ def _sweep_spec(
         num_cores=(4,),
         mix_count=count,
         mix_seed=seed,
+        mixes=mixes or (),
         include_case_studies=include_case_studies,
         seeds=(sim_seed,),
         instructions=instructions,
@@ -178,50 +176,35 @@ def ranking_scheme_spec(
     instructions: int | None = None,
     sim_seed: int = 0,
 ) -> "CampaignSpec":
-    """The campaign spec behind Figure 13."""
-    from ..campaign.spec import CampaignSpec, Variant
+    """The campaign spec behind Figure 13.  ``extra_mixes`` come after
+    the case studies and before the random mixes."""
+    from ..campaign.spec import Variant
 
     variants = [
         Variant(label, "PAR-BS", tuple(kwargs.items()))
         for label, kwargs in RANKING_VARIANTS.items()
     ]
     variants.append(Variant("STFM", "STFM"))
-    return CampaignSpec(
-        name="ranking-scheme",
-        description="Figure 13: within-batch ranking ablations (plus STFM)",
-        variants=tuple(variants),
-        num_cores=(4,),
-        mix_count=count,
-        mix_seed=seed,
-        mixes=tuple(tuple(m) for m in extra_mixes or ()),
-        include_case_studies=include_case_studies,
-        seeds=(sim_seed,),
-        instructions=instructions,
+    return _sweep_spec(
+        "ranking-scheme",
+        "Figure 13: within-batch ranking ablations (plus STFM)",
+        variants, count, include_case_studies, seed, instructions, sim_seed,
+        extra_mixes,
     )
 
 
-def _runner_params(
-    runner: ExperimentRunner | None, instructions: int | None
-) -> tuple[int | None, int, int | None, bool]:
-    """(instructions, sim_seed, jobs, campaignable) derived from a runner.
-
-    Runners with non-baseline configs cannot be expressed as campaign
-    jobs (the grid is pinned to ``baseline_system``); those keep the
-    direct in-process path.
-    """
-    if runner is None:
-        return instructions, 0, None, True
-    campaignable = runner.config == baseline_system(4)
-    return (
-        instructions if instructions is not None else runner.instructions,
-        runner.seed,
-        runner.jobs,
-        campaignable,
-    )
-
-
-def _run_sweep(spec: "CampaignSpec", store, jobs: int | None) -> SweepResult:
-    """Execute a 4-core sweep campaign and regroup grid-order results."""
+def run_sweep(
+    spec: "CampaignSpec",
+    store: "ResultStore | None" = None,
+    jobs: int | None = None,
+) -> SweepResult:
+    """Execute a one-core-count, one-seed campaign and regroup its
+    grid-order results into per-variant lists (one entry per mix)."""
+    if len(spec.num_cores) != 1 or len(spec.seeds) != 1:
+        raise ValueError(
+            f"run_sweep needs one core count and one seed, got "
+            f"num_cores={list(spec.num_cores)} seeds={list(spec.seeds)}"
+        )
     from ..campaign.orchestrator import run_and_collect
 
     results = run_and_collect(spec, store, jobs=jobs)
@@ -230,72 +213,39 @@ def _run_sweep(spec: "CampaignSpec", store, jobs: int | None) -> SweepResult:
     # Grid order is mix-major, variant minor.
     for job_index, result in enumerate(results):
         variants[labels[job_index % len(labels)]].append(result)
-    return SweepResult(variants=variants, mixes=spec.mixes_for(4))
+    return SweepResult(variants=variants, mixes=spec.mixes_for(spec.num_cores[0]))
 
 
 def marking_cap_sweep(
     caps: list[int | None] | None = None,
     count: int = 6,
-    runner: ExperimentRunner | None = None,
     instructions: int | None = None,
     include_case_studies: bool = True,
     seed: int = 42,
     store: "ResultStore | None" = None,
 ) -> SweepResult:
     """Figure 11: PAR-BS fairness/throughput as Marking-Cap varies."""
-    instructions, sim_seed, jobs, campaignable = _runner_params(runner, instructions)
-    if campaignable:
-        spec = marking_cap_spec(
-            caps, count, include_case_studies, seed, instructions, sim_seed
-        )
-        return _run_sweep(spec, store, jobs)
-    caps = MARKING_CAPS if caps is None else caps
-    mixes = _mix_set(count, include_case_studies, seed)
-    variants: dict[str, list[WorkloadResult]] = {}
-    for cap in caps:
-        label = f"c={cap}" if cap is not None else "no-c"
-        variants[label] = [
-            runner.run_workload(mix, "PAR-BS", marking_cap=cap) for mix in mixes
-        ]
-    return SweepResult(variants=variants, mixes=mixes)
+    spec = marking_cap_spec(caps, count, include_case_studies, seed, instructions)
+    return run_sweep(spec, store)
 
 
 def batching_choice_sweep(
     durations: list[int] | None = None,
     count: int = 6,
-    runner: ExperimentRunner | None = None,
     instructions: int | None = None,
     include_case_studies: bool = True,
     seed: int = 42,
     store: "ResultStore | None" = None,
 ) -> SweepResult:
     """Figure 12: static vs eslot vs full batching."""
-    instructions, sim_seed, jobs, campaignable = _runner_params(runner, instructions)
-    if campaignable:
-        spec = batching_choice_spec(
-            durations, count, include_case_studies, seed, instructions, sim_seed
-        )
-        return _run_sweep(spec, store, jobs)
-    durations = STATIC_DURATIONS if durations is None else durations
-    mixes = _mix_set(count, include_case_studies, seed)
-    variants: dict[str, list[WorkloadResult]] = {}
-    for duration in durations:
-        variants[f"st-{duration}"] = [
-            runner.run_workload(
-                mix, "PAR-BS", batching="static", batch_duration=duration
-            )
-            for mix in mixes
-        ]
-    variants["eslot"] = [
-        runner.run_workload(mix, "PAR-BS", batching="eslot") for mix in mixes
-    ]
-    variants["full"] = [runner.run_workload(mix, "PAR-BS") for mix in mixes]
-    return SweepResult(variants=variants, mixes=mixes)
+    spec = batching_choice_spec(
+        durations, count, include_case_studies, seed, instructions
+    )
+    return run_sweep(spec, store)
 
 
 def ranking_scheme_sweep(
     count: int = 6,
-    runner: ExperimentRunner | None = None,
     instructions: int | None = None,
     include_case_studies: bool = False,
     extra_mixes: list[list[str]] | None = None,
@@ -303,25 +253,7 @@ def ranking_scheme_sweep(
     store: "ResultStore | None" = None,
 ) -> SweepResult:
     """Figure 13: within-batch ranking ablations (plus STFM reference)."""
-    instructions, sim_seed, jobs, campaignable = _runner_params(runner, instructions)
-    # With both case studies and extra mixes the legacy order (extras
-    # first) differs from the campaign mix order (case studies first);
-    # keep the direct path so mix_index-addressed lookups stay stable.
-    if campaignable and not (include_case_studies and extra_mixes):
-        spec = ranking_scheme_spec(
-            count, include_case_studies, extra_mixes, seed, instructions, sim_seed
-        )
-        return _run_sweep(spec, store, jobs)
-    runner = runner or ExperimentRunner(
-        baseline_system(4), instructions=instructions
+    spec = ranking_scheme_spec(
+        count, include_case_studies, extra_mixes, seed, instructions
     )
-    mixes = _mix_set(count, include_case_studies, seed)
-    if extra_mixes:
-        mixes = [list(m) for m in extra_mixes] + mixes
-    variants: dict[str, list[WorkloadResult]] = {}
-    for label, kwargs in RANKING_VARIANTS.items():
-        variants[label] = [
-            runner.run_workload(mix, "PAR-BS", **kwargs) for mix in mixes
-        ]
-    variants["STFM"] = [runner.run_workload(mix, "STFM") for mix in mixes]
-    return SweepResult(variants=variants, mixes=mixes)
+    return run_sweep(spec, store)

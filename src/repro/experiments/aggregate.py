@@ -6,16 +6,20 @@ The paper averages over 100 pseudo-random 4-core mixes, 16 8-core mixes and
 a laptop (override with the ``REPRO_WORKLOADS`` environment variable or the
 ``count`` argument); the sampling procedure is the paper's
 (category-balanced pseudo-random selection).
+
+An aggregate is a campaign over (mix × scheduler) on
+``baseline_system(num_cores)`` with sim seed 0; there is no ``runner``
+argument and no direct path.  Mixes run in the campaign order: the named
+sample mixes when requested, then the seeded random mixes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..config import baseline_system, default_workload_count
+from ..config import default_workload_count
 from ..metrics.summary import WorkloadResult, geomean
-from ..sim.runner import ExperimentRunner
-from ..workloads.mixes import FIG8_SAMPLE_MIXES, SIXTEEN_CORE_MIXES, random_mixes
+from .ablations import run_sweep
 from .paper_values import SCHEDULERS, TABLE4
 from .reporting import format_table
 
@@ -110,7 +114,6 @@ def aggregate_spec(
 def run_aggregate(
     num_cores: int = 4,
     count: int | None = None,
-    runner: ExperimentRunner | None = None,
     instructions: int | None = None,
     include_sample_mixes: bool = False,
     seed: int = 42,
@@ -123,68 +126,23 @@ def run_aggregate(
     shown on the figure's x-axis (Figure 8's ten mixes for 4 cores,
     Figure 10's five for 16 cores).
 
-    The whole grid executes as a campaign: completed (mix × scheduler)
-    cells are read back from the result store (``store``, default: the
-    store at :func:`repro.campaign.store.default_db_path`) and only
-    missing cells are simulated — interrupting and re-running resumes,
-    and a finished aggregate is pure re-query.  Results are bit-identical
-    to running the grid directly through
-    :meth:`~repro.sim.runner.ExperimentRunner.run_many`.
+    The whole grid executes as a campaign (:func:`run_sweep`): completed
+    (mix × scheduler) cells are read back from the result store
+    (``store``, default: the store at
+    :func:`repro.campaign.store.default_db_path`) and only missing cells
+    are simulated — interrupting and re-running resumes, and a finished
+    aggregate is pure re-query.
     """
     if count is None:
         count = default_workload_count(num_cores)
-    sim_seed = 0
-    if runner is not None:
-        if instructions is None:
-            instructions = runner.instructions
-        sim_seed = runner.seed
-        if jobs is None:
-            jobs = runner.jobs
-        if runner.config != baseline_system(num_cores):
-            return _run_aggregate_direct(
-                num_cores, count, runner, include_sample_mixes, seed, jobs
-            )
-    from ..campaign.orchestrator import run_and_collect
-
     spec = aggregate_spec(
         num_cores,
         count=count,
         include_sample_mixes=include_sample_mixes,
         seed=seed,
         instructions=instructions,
-        sim_seed=sim_seed,
     )
-    results = run_and_collect(spec, store, jobs=jobs)
-    mixes = spec.mixes_for(num_cores)
-    per_mix: dict[str, list[WorkloadResult]] = {s: [] for s in SCHEDULERS}
-    # Grid order is mix-major, variant (= scheduler) minor.
-    for job_index, result in enumerate(results):
-        per_mix[SCHEDULERS[job_index % len(SCHEDULERS)]].append(result)
-    return AggregateResult(num_cores=num_cores, mixes=mixes, per_mix=per_mix)
-
-
-def _run_aggregate_direct(
-    num_cores: int,
-    count: int,
-    runner: ExperimentRunner,
-    include_sample_mixes: bool,
-    seed: int,
-    jobs: int | None,
-) -> AggregateResult:
-    """Direct (non-campaign) path for runners with non-baseline configs,
-    which the campaign grid — pinned to ``baseline_system`` — cannot
-    describe."""
-    mixes: list[list[str]] = []
-    if include_sample_mixes:
-        if num_cores == 4:
-            mixes.extend([list(m) for m in FIG8_SAMPLE_MIXES])
-        elif num_cores == 16:
-            mixes.extend([list(m) for m in SIXTEEN_CORE_MIXES.values()])
-    mixes.extend(random_mixes(num_cores, count=count, seed=seed))
-
-    specs = [(mix, scheduler, {}) for mix in mixes for scheduler in SCHEDULERS]
-    results = runner.run_many(specs, jobs=jobs)
-    per_mix: dict[str, list[WorkloadResult]] = {s: [] for s in SCHEDULERS}
-    for (_mix, scheduler, _kwargs), result in zip(specs, results):
-        per_mix[scheduler].append(result)
-    return AggregateResult(num_cores=num_cores, mixes=mixes, per_mix=per_mix)
+    sweep = run_sweep(spec, store, jobs)
+    return AggregateResult(
+        num_cores=num_cores, mixes=sweep.mixes, per_mix=sweep.variants
+    )

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.config import DramConfig
-from repro.core.batcher import OPPORTUNISTIC, EslotBatcher, FullBatcher, StaticBatcher
+from repro.core.batcher import OPPORTUNISTIC, FullBatcher, StaticBatcher
 from repro.core.parbs import ParBsScheduler
 from repro.dram.controller import MemoryController
 from repro.dram.request import MemoryRequest, RequestType

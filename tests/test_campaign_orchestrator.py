@@ -16,6 +16,7 @@ from repro.config import baseline_system
 from repro.obs.trace import RingBufferSink, Tracer
 from repro.sim import pool
 from repro.sim.runner import ExperimentRunner
+from repro.workloads.mixes import CASE_STUDY_1, CASE_STUDY_2, random_mixes
 
 
 def _spec(**overrides) -> CampaignSpec:
@@ -168,23 +169,23 @@ def test_campaign_probe_events(tmp_path):
 
 def test_aggregate_via_campaign_matches_direct_run_many(tmp_path):
     """`repro aggregate` routed through the campaign store must match the
-    pre-refactor direct ExperimentRunner.run_many numbers bit-for-bit."""
-    from repro.experiments.aggregate import (
-        _run_aggregate_direct,
-        run_aggregate,
-    )
+    same (mix, scheduler) grid run through ExperimentRunner.run_many
+    bit-for-bit."""
+    from repro.experiments.aggregate import run_aggregate
+    from repro.experiments.paper_values import SCHEDULERS
 
-    runner = ExperimentRunner(baseline_system(4), instructions=20_000)
-    direct = _run_aggregate_direct(
-        4, count=1, runner=runner, include_sample_mixes=False, seed=42, jobs=1
-    )
     with ResultStore(tmp_path / "agg.sqlite") as store:
         via_campaign = run_aggregate(
             4, count=1, instructions=20_000, seed=42, jobs=1, store=store
         )
-    assert via_campaign.mixes == direct.mixes
-    assert via_campaign.per_mix == direct.per_mix
-    assert via_campaign.summary() == direct.summary()
+    mixes = random_mixes(4, count=1, seed=42)
+    specs = [(mix, scheduler, {}) for mix in mixes for scheduler in SCHEDULERS]
+    runner = ExperimentRunner(baseline_system(4), instructions=20_000)
+    per_mix = {scheduler: [] for scheduler in SCHEDULERS}
+    for (_mix, scheduler, _kwargs), result in zip(specs, runner.run_many(specs, jobs=1)):
+        per_mix[scheduler].append(result)
+    assert via_campaign.mixes == mixes
+    assert via_campaign.per_mix == per_mix
 
 
 def test_sweep_via_campaign_matches_direct(tmp_path):
@@ -204,3 +205,42 @@ def test_sweep_via_campaign_matches_direct(tmp_path):
     for label, cap in (("c=1", 1), ("no-c", None)):
         for mix, got in zip(result.mixes, result.variants[label]):
             assert got == runner.run_workload(mix, "PAR-BS", marking_cap=cap)
+
+
+def test_ranking_sweep_with_case_studies_and_extras_uses_campaign_order(tmp_path):
+    """Case studies, then extra mixes, then random mixes: the order
+    CampaignSpec.mixes_for defines, with every cell equal to a direct
+    run of the same variant."""
+    from repro.experiments.ablations import RANKING_VARIANTS, ranking_scheme_sweep
+
+    extra = [["lbm"] * 4]
+    with ResultStore(tmp_path / "ranking.sqlite") as store:
+        result = ranking_scheme_sweep(
+            count=1,
+            instructions=20_000,
+            include_case_studies=True,
+            extra_mixes=extra,
+            store=store,
+        )
+    assert result.mixes == [
+        list(CASE_STUDY_1),
+        list(CASE_STUDY_2),
+        *extra,
+        *random_mixes(4, count=1, seed=42),
+    ]
+    runner = ExperimentRunner(baseline_system(4), instructions=20_000)
+    assert list(result.variants) == [*RANKING_VARIANTS, "STFM"]
+    for mix_index, mix in enumerate(result.mixes):
+        for label, kwargs in RANKING_VARIANTS.items():
+            want = runner.run_workload(mix, "PAR-BS", **kwargs)
+            assert result.variants[label][mix_index] == want
+        assert result.variants["STFM"][mix_index] == runner.run_workload(mix, "STFM")
+
+
+def test_run_sweep_rejects_multi_axis_specs(tmp_path):
+    from repro.experiments.ablations import run_sweep
+
+    with ResultStore(tmp_path / "db.sqlite") as store:
+        for spec in (_spec(num_cores=(4, 8)), _spec(seeds=(0, 1))):
+            with pytest.raises(ValueError, match="one core count and one seed"):
+                run_sweep(spec, store)

@@ -1,7 +1,5 @@
 """Edge-case tests for the analytical core model."""
 
-import pytest
-
 from repro.config import CoreConfig
 from repro.cpu.core import Core
 from repro.cpu.trace import Trace, TraceEntry

@@ -67,8 +67,8 @@ def test_case_studies_registry():
     }
 
 
-def test_aggregate_driver_small(runner):
-    result = run_aggregate(4, count=2, runner=runner)
+def test_aggregate_driver_small():
+    result = run_aggregate(4, count=2, instructions=INSTRUCTIONS)
     summary = result.summary()
     assert set(summary) == set(SCHEDULERS)
     for vals in summary.values():
@@ -84,23 +84,26 @@ def test_default_workload_count_env(monkeypatch):
     assert default_workload_count(4) > 0
 
 
-def test_marking_cap_sweep_small(runner):
+def test_marking_cap_sweep_small():
     result = marking_cap_sweep(
-        caps=[1, 5], count=1, runner=runner, include_case_studies=False
+        caps=[1, 5], count=1, instructions=INSTRUCTIONS, include_case_studies=False
     )
     assert set(result.variants) == {"c=1", "c=5"}
     assert "c=1" in result.report("caps")
 
 
-def test_batching_choice_sweep_small(runner):
+def test_batching_choice_sweep_small():
     result = batching_choice_sweep(
-        durations=[3200], count=1, runner=runner, include_case_studies=False
+        durations=[3200],
+        count=1,
+        instructions=INSTRUCTIONS,
+        include_case_studies=False,
     )
     assert set(result.variants) == {"st-3200", "eslot", "full"}
 
 
-def test_ranking_sweep_small(runner):
-    result = ranking_scheme_sweep(count=1, runner=runner)
+def test_ranking_sweep_small():
+    result = ranking_scheme_sweep(count=1, instructions=INSTRUCTIONS)
     assert "max-total(PAR-BS)" in result.variants
     assert "STFM" in result.variants
     assert "no-rank(FCFS)" in result.variants
