@@ -31,7 +31,13 @@ from ._lazy import lazy_exports
 __getattr__, __dir__ = lazy_exports(
     __name__,
     {
-        ".config": ("CoreConfig", "DramConfig", "SystemConfig", "baseline_system"),
+        ".config": (
+            "CoreConfig",
+            "DramConfig",
+            "SCHEDULER_NAMES",
+            "SystemConfig",
+            "baseline_system",
+        ),
         ".core.batcher": ("OPPORTUNISTIC",),
         ".core.parbs": ("ParBsScheduler",),
         ".metrics.fairness": ("unfairness",),
@@ -40,7 +46,7 @@ __getattr__, __dir__ = lazy_exports(
         ".schedulers.frfcfs": ("FrFcfsScheduler",),
         ".schedulers.nfq": ("NfqScheduler",),
         ".schedulers.stfm": ("StfmScheduler",),
-        ".sim.factory": ("SCHEDULER_NAMES", "make_scheduler"),
+        ".sim.factory": ("make_scheduler",),
         ".sim.runner": ("ExperimentRunner",),
         ".sim.system": ("System",),
         ".workloads.generator": ("generate_trace",),

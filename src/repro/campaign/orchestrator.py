@@ -34,18 +34,19 @@ from __future__ import annotations
 import logging
 import os
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from ..guard.chaos import ChaosPlan, chaos_from_env
-from ..metrics.summary import WorkloadResult
-from ..obs.config import TraceConfig
+from ..envknobs import default_job_timeout, default_jobs
 from ..obs.metrics import collect_process_metrics, metrics_from_env
-from ..obs.trace import Probe
-from ..sim import pool
 from ..sim.diskcache import DiskCache, cache_enabled, default_cache_dir
 from .manifest import build_manifest
 from .spec import CampaignJob, CampaignSpec
 from .store import ResultStore
-from .worker import drain_campaign, sim_job
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..guard.chaos import ChaosPlan
+    from ..metrics.summary import WorkloadResult
+    from ..obs.trace import Probe
 
 __all__ = ["RunStats", "run_campaign", "run_and_collect"]
 
@@ -105,11 +106,17 @@ def run_campaign(
     path's no-progress timeout; ``lease_s``/``heartbeat_s`` (defaults
     ``REPRO_LEASE_S``/``REPRO_HEARTBEAT_S``) tune the work-queue lease
     this run's drain holds on each in-flight job.
+
+    Only a run with jobs to simulate imports the execution stack (worker,
+    pool, chaos, schedulers); one that finds every job stored reads the
+    store and the spec alone.
     """
-    if chaos is None:
+    if chaos is None and (os.environ.get("REPRO_CHAOS") or "").strip():
+        from ..guard.chaos import chaos_from_env
+
         chaos = chaos_from_env()
     if job_timeout_s is None:
-        job_timeout_s = pool.default_job_timeout()
+        job_timeout_s = default_job_timeout()
     if chaos is not None and os.environ.get("REPRO_CHAOS") != chaos.spec():
         # Jobs resolve the plan from the environment (that is how pool
         # workers see it), so export the resolved plan — marker dir
@@ -134,14 +141,14 @@ def run_campaign(
     # that is interrupted before its first commit.  The manifest is a
     # pure function of spec + environment (no timestamps), so a resume
     # under the same knobs rewrites identical bytes.
-    store.set_manifest(spec.fingerprint(), build_manifest(spec))
+    store.set_manifest(spec.fingerprint(), build_manifest(spec, grid=grid))
     statuses = store.statuses(job.key for job in grid)
     to_run = [job for job in grid if statuses.get(job.key) != "done"]
     stats = RunStats(total=len(grid), skipped=len(grid) - len(to_run))
     if limit is not None and len(to_run) > limit:
         stats.deferred = len(to_run) - limit
         to_run = to_run[:limit]
-    workers = pool.default_jobs() if jobs is None else max(1, jobs)
+    workers = default_jobs() if jobs is None else max(1, jobs)
     workers = min(workers, max(1, len(to_run)))
     logger.info(
         "campaign %s: %d jobs total, %d already stored, running %d over %d workers",
@@ -166,6 +173,10 @@ def run_campaign(
             probe.emit(0, "campaign.done", ran=0, failed=0, skipped=stats.skipped)
         _finalize_metrics(spec, store, stats)
         return stats
+
+    from ..obs.config import TraceConfig
+    from ..sim import pool
+    from .worker import drain_campaign, sim_job
 
     trace = TraceConfig.from_env() or TraceConfig()
     cache_dir = str(default_cache_dir()) if cache_enabled() else None

@@ -43,7 +43,6 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 from ..envknobs import read_float
 from ..obs.metrics import job_metrics
-from .serde import result_to_json
 from .store import PROGRESS_UPSERT, ResultStore, progress_params
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -336,6 +335,9 @@ class LeaseQueue:
         rides in it) and release the lease in one transaction iff the
         fencing token still matches.  Returns False (and changes nothing)
         for a stale worker."""
+        from .serde import result_to_json
+
+        payload = result_to_json(result)
         events_per_sec = (
             result.events_logical / wall_time_s if wall_time_s else None
         )
@@ -362,7 +364,7 @@ class LeaseQueue:
                 "UPDATE jobs SET status = 'done', result_json = ?, "
                 "error = NULL, attempts = attempts + 1, wall_time_s = ? "
                 "WHERE key = ?",
-                (result_to_json(result), wall_time_s, lease.key),
+                (payload, wall_time_s, lease.key),
             )
             conn.execute(PROGRESS_UPSERT, progress)
             conn.execute("DELETE FROM leases WHERE key = ?", (lease.key,))

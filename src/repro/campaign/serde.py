@@ -12,7 +12,7 @@ JSON forces to strings (thread ids in telemetry maps).
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
+from dataclasses import fields
 from typing import Any
 
 from ..metrics.summary import ThreadResult, WorkloadResult
@@ -24,6 +24,10 @@ __all__ = [
     "result_to_dict",
     "result_to_json",
 ]
+
+# Every field of a thread row is a scalar, so a row is read field by field
+# (``dataclasses.asdict`` would deep-copy each value).
+_THREAD_FIELDS = tuple(f.name for f in fields(ThreadResult))
 
 
 def result_to_dict(result: WorkloadResult) -> dict[str, Any]:
@@ -40,7 +44,9 @@ def result_to_dict(result: WorkloadResult) -> dict[str, Any]:
     return {
         "scheduler": result.scheduler,
         "workload": list(result.workload),
-        "threads": [asdict(t) for t in result.threads],
+        "threads": [
+            {name: getattr(t, name) for name in _THREAD_FIELDS} for t in result.threads
+        ],
         "sim_cycles": result.sim_cycles,
         "extra": dict(result.extra),
         "telemetry": telemetry,

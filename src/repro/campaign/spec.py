@@ -60,14 +60,14 @@ from pathlib import Path
 from typing import Any, Iterable, Mapping
 
 from ..config import (
+    MIN_INSTRUCTIONS,
     SystemConfig,
     baseline_system,
     default_instructions,
     default_workload_count,
+    scheduler_name,
 )
 from ..sim.diskcache import SIM_FINGERPRINT, content_key
-from ..sim.factory import make_scheduler
-from ..workloads.generator import MIN_INSTRUCTIONS
 from ..workloads.mixes import (
     CASE_STUDY_1,
     CASE_STUDY_2,
@@ -109,10 +109,17 @@ class Variant:
         if not self.label:
             raise ValueError("variant label must be non-empty")
         object.__setattr__(self, "kwargs", _freeze_kwargs(self.kwargs))
-        # Fail at spec time, not mid-campaign: instantiating the scheduler
-        # validates both the name and the keyword arguments.
+        # Fail at spec time, not mid-campaign.  Every scheduler builds
+        # without keyword arguments, so a kwarg-free variant is checked by
+        # name alone; otherwise instantiating the scheduler validates both
+        # the name and the keyword arguments.
         try:
-            make_scheduler(self.scheduler, 2, **self.kwargs_dict())
+            if self.kwargs:
+                from ..sim.factory import make_scheduler
+
+                make_scheduler(self.scheduler, 2, **self.kwargs_dict())
+            else:
+                scheduler_name(self.scheduler)
         except (ValueError, TypeError) as exc:
             raise ValueError(
                 f"variant {self.label!r} is not instantiable: {exc}"
@@ -242,22 +249,24 @@ class CampaignSpec:
         if unknown:
             raise ValueError(f"unknown benchmarks in mixes: {sorted(unknown)}")
         aliases = {alias for alias, _path, _sha in self.trace_files}
-        from ..traces.library import SAMPLE_TRACES
-
-        unknown_traces = {
+        samples = {
             b
             for mix in self.mixes
             for b in mix
-            if b.startswith(_TRACE_PREFIX)
-            and b[len(_TRACE_PREFIX):] not in aliases
-            and b[len(_TRACE_PREFIX):] not in SAMPLE_TRACES
+            if b.startswith(_TRACE_PREFIX) and b[len(_TRACE_PREFIX):] not in aliases
         }
-        if unknown_traces:
-            raise ValueError(
-                f"unknown traces in mixes: {sorted(unknown_traces)} "
-                f"(declare them in [trace_files] or use a sample trace: "
-                f"{', '.join(sorted(SAMPLE_TRACES))})"
-            )
+        if samples:
+            from ..traces.library import SAMPLE_TRACES
+
+            unknown_traces = {
+                b for b in samples if b[len(_TRACE_PREFIX):] not in SAMPLE_TRACES
+            }
+            if unknown_traces:
+                raise ValueError(
+                    f"unknown traces in mixes: {sorted(unknown_traces)} "
+                    f"(declare them in [trace_files] or use a sample trace: "
+                    f"{', '.join(sorted(SAMPLE_TRACES))})"
+                )
         usable = {len(m) for m in self.mixes}
         cores = set(self.num_cores)
         has_generated = self.mix_count != 0 or self.include_sample_mixes or self.include_case_studies
@@ -319,8 +328,6 @@ class CampaignSpec:
         no file access — except unpinned samples, which are generated on
         demand and hashed."""
         hashes = {alias: sha for alias, _path, sha in self.trace_files}
-        from ..traces.library import SAMPLE_TRACES
-
         for cores in self.num_cores:
             for mix in self.mixes_for(cores):
                 for entry in mix:
@@ -329,6 +336,8 @@ class CampaignSpec:
                     name = entry[len(_TRACE_PREFIX):]
                     if name in hashes:
                         continue
+                    from ..traces.library import SAMPLE_TRACES
+
                     sample = SAMPLE_TRACES.get(name)
                     if sample is None:
                         continue  # __post_init__ already rejected unknowns

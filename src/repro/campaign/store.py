@@ -38,7 +38,6 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 from ..envknobs import read_float
 from ..sim.diskcache import cache_enabled, default_cache_dir
-from .serde import result_from_json
 from .spec import CampaignJob, CampaignSpec
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -564,6 +563,8 @@ class ResultStore:
         """Completed results for specific job keys, regardless of which
         campaign originally registered them (job identity is the content
         hash, so identical cells are shared across campaigns)."""
+        from .serde import result_from_json
+
         out: dict[str, "WorkloadResult"] = {}
         keys = list(keys)
         for start in range(0, len(keys), 500):

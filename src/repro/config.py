@@ -7,8 +7,9 @@ buffer, 8 banks per channel with 2 KB row buffers, and DRAM channels scaled
 with the core count (1/2/4 channels for 4/8/16 cores).
 
 It also holds the experiment-scale defaults (instructions per thread,
-random mixes per system size), which the campaign layer resolves without
-loading the simulator.
+random mixes per system size), the synthetic generator's minimum trace
+length and the scheduler names, which the campaign layer resolves and
+checks without loading the simulator.
 """
 
 from __future__ import annotations
@@ -22,13 +23,23 @@ from .envknobs import read_float, read_optional_int
 __all__ = [
     "CoreConfig",
     "DramConfig",
+    "MIN_INSTRUCTIONS",
+    "SCHEDULER_NAMES",
     "SystemConfig",
     "baseline_system",
     "default_instructions",
     "default_workload_count",
+    "scheduler_name",
 ]
 
 _DEFAULT_INSTRUCTIONS = 300_000
+# Shortest synthetic trace :meth:`repro.workloads.generator.TraceGenerator.generate`
+# produces.
+MIN_INSTRUCTIONS = 1000
+
+# The five schedulers compared throughout the evaluation, in figure order.
+# :mod:`repro.sim.factory` builds each of them by this name.
+SCHEDULER_NAMES = ["FR-FCFS", "FCFS", "NFQ", "STFM", "PAR-BS"]
 
 
 @dataclass(frozen=True)
@@ -113,3 +124,16 @@ def default_workload_count(num_cores: int) -> int:
     if env is not None:
         return env
     return {4: 12, 8: 6, 16: 4}.get(num_cores, 8)
+
+
+def scheduler_name(name: str) -> str:
+    """The entry of :data:`SCHEDULER_NAMES` that ``name`` spells.
+
+    Case-insensitive, ``_`` reads as ``-``, and the hyphen of ``FR-FCFS``
+    and ``PAR-BS`` is optional.  Raises ``ValueError`` for any other name.
+    """
+    key = name.strip().lower().replace("_", "-")
+    for known in SCHEDULER_NAMES:
+        if key in (known.lower(), known.lower().replace("-", "")):
+            return known
+    raise ValueError(f"unknown scheduler {name!r}; known: {SCHEDULER_NAMES}")

@@ -55,6 +55,8 @@ __all__ = [
     "read_optional_int",
     "read_optional_float",
     "read_choice",
+    "default_jobs",
+    "default_job_timeout",
 ]
 
 
@@ -160,3 +162,16 @@ def read_optional_float(
     if _raw(name, environ) is None:
         return None
     return read_float(name, 0.0, floor=floor, environ=environ)
+
+
+def default_jobs() -> int:
+    """Worker count from ``REPRO_JOBS`` (default 1 = serial)."""
+    return read_int("REPRO_JOBS", 1, floor=1)
+
+
+def default_job_timeout() -> float | None:
+    """Per-job no-progress timeout in seconds from ``REPRO_JOB_TIMEOUT_S``
+    (``None`` = no timeout).  Applied to pool and campaign workers: if no
+    job completes within the window the pool is presumed hung, its workers
+    are terminated, and the unfinished jobs are retried."""
+    return read_optional_float("REPRO_JOB_TIMEOUT_S", floor=0.1)

@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Hashable, Sequence
 
 from ..config import SystemConfig
-from ..envknobs import read_int, read_optional_float
+from ..envknobs import default_job_timeout, default_jobs
 from ..guard.chaos import ChaosInjectedError, chaos_from_env
 from ..obs.config import TraceConfig
 from .diskcache import GLOBAL_STATS, DiskCache, content_key
@@ -93,19 +93,6 @@ POOL_STATS = {"respawns": 0, "serial_fallbacks": 0, "timeouts": 0}
 # After this many pool incidents (worker deaths, no-progress timeouts) the
 # engine stops respawning pools and runs the survivors serially.
 POOL_INCIDENT_LIMIT = 2
-
-
-def default_jobs() -> int:
-    """Worker count from ``REPRO_JOBS`` (default 1 = serial)."""
-    return read_int("REPRO_JOBS", 1, floor=1)
-
-
-def default_job_timeout() -> float | None:
-    """Per-job no-progress timeout in seconds from ``REPRO_JOB_TIMEOUT_S``
-    (``None`` = no timeout).  Applied to pool and campaign workers: if no
-    job completes within the window the pool is presumed hung, its workers
-    are terminated, and the unfinished jobs are retried."""
-    return read_optional_float("REPRO_JOB_TIMEOUT_S", floor=0.1)
 
 
 @dataclass(frozen=True)
@@ -227,8 +214,9 @@ def preload_simulator(backend: str | None = None) -> None:
     """Import the simulator in a process about to fork a worker pool.
 
     Forked workers inherit every module loaded before the fork; without
-    this, each worker would import the runner (and, on the fast and
-    verify backends, the fast kernel) again on its first job.
+    this, each worker would import the runner and the schedulers it loads
+    (and, on the fast and verify backends, the fast kernel) again on its
+    first job.
     """
     from . import runner  # noqa: F401
 

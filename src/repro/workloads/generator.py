@@ -26,6 +26,7 @@ import random
 import zlib
 from dataclasses import dataclass
 
+from ..config import MIN_INSTRUCTIONS
 from ..cpu.trace import Trace, TraceEntry
 from ..dram.address import CACHE_LINE_BYTES, AddressMapping
 from .profiles import BenchmarkProfile
@@ -36,8 +37,6 @@ __all__ = ["MIN_INSTRUCTIONS", "TraceGenerator", "generate_trace"]
 # fits comfortably in a 128-entry instruction window.
 _BURST_GAP = 2
 _MIN_ACCESSES = 24
-# Shortest synthetic trace :meth:`TraceGenerator.generate` produces.
-MIN_INSTRUCTIONS = 1000
 
 # Per-benchmark (walkers, jump_dep_prob, cont_dep_prob) fitted by
 # repro.workloads.calibrate so that alone-run BLP on the baseline 4-core

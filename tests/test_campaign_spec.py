@@ -11,8 +11,9 @@ from repro.campaign.spec import (
     load_spec,
     spec_from_dict,
 )
-from repro.config import baseline_system
-from repro.workloads.generator import MIN_INSTRUCTIONS
+from repro.config import MIN_INSTRUCTIONS, SCHEDULER_NAMES, baseline_system, scheduler_name
+from repro.core.parbs import ParBsScheduler
+from repro.sim.factory import make_scheduler
 from repro.workloads.mixes import CASE_STUDY_1, CASE_STUDY_2, random_mixes
 
 
@@ -29,13 +30,58 @@ def _spec(**overrides) -> CampaignSpec:
 
 # -- validation ---------------------------------------------------------------
 def test_variant_validates_scheduler_name():
-    with pytest.raises(ValueError, match="not instantiable"):
+    with pytest.raises(ValueError) as info:
         Variant("bogus", "NO-SUCH-SCHEDULER")
+    assert str(info.value) == (
+        "variant 'bogus' is not instantiable: unknown scheduler "
+        "'NO-SUCH-SCHEDULER'; known: ['FR-FCFS', 'FCFS', 'NFQ', 'STFM', 'PAR-BS']"
+    )
 
 
 def test_variant_validates_kwargs():
-    with pytest.raises(ValueError, match="not instantiable"):
+    with pytest.raises(TypeError) as built:
+        ParBsScheduler(2, not_a_kwarg=3)
+    with pytest.raises(ValueError) as info:
         Variant("bad", "PAR-BS", (("not_a_kwarg", 3),))
+    assert str(info.value) == f"variant 'bad' is not instantiable: {built.value}"
+    with pytest.raises(ValueError) as info:
+        Variant("cap", "PAR-BS", (("marking_cap", 0),))
+    assert str(info.value) == (
+        "variant 'cap' is not instantiable: marking_cap must be >= 1 (or None for no cap)"
+    )
+
+
+@pytest.mark.parametrize("threads", [1, 2, 16])
+@pytest.mark.parametrize("name", SCHEDULER_NAMES)
+def test_every_scheduler_builds_without_kwargs(name, threads):
+    """Why a kwarg-free variant is checked by its name alone."""
+    assert make_scheduler(name, threads) is not None
+
+
+@pytest.mark.parametrize(
+    "spelling, name",
+    [
+        ("fr-fcfs", "FR-FCFS"),
+        ("frfcfs", "FR-FCFS"),
+        (" FCFS ", "FCFS"),
+        ("nfq", "NFQ"),
+        ("Stfm", "STFM"),
+        ("par_bs", "PAR-BS"),
+        ("parbs", "PAR-BS"),
+    ],
+)
+def test_scheduler_spellings_name_one_scheduler(spelling, name):
+    assert scheduler_name(spelling) == name
+    assert Variant("v", spelling).scheduler == spelling
+    assert type(make_scheduler(spelling, 2)) is type(make_scheduler(name, 2))
+
+
+@pytest.mark.parametrize("spelling", ["", "fr_fcfs_", "par-b-s", "SJF"])
+def test_unknown_spellings_are_rejected(spelling):
+    with pytest.raises(ValueError, match="unknown scheduler"):
+        scheduler_name(spelling)
+    with pytest.raises(ValueError, match="unknown scheduler"):
+        make_scheduler(spelling, 2)
 
 
 def test_variant_kwargs_sorted_for_hash_stability():

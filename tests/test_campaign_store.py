@@ -1,12 +1,14 @@
 """Tests for the SQLite result store: round-trips, migrations, sharing."""
 
+import json
 import sqlite3
 import threading
+from dataclasses import asdict
 
 import pytest
 
 from repro.campaign.queue import LeaseQueue
-from repro.campaign.serde import result_from_json, result_to_json
+from repro.campaign.serde import result_from_json, result_to_dict, result_to_json
 from repro.campaign.spec import CampaignSpec, Variant
 from repro.campaign.store import SCHEMA_VERSION, ResultStore, default_db_path
 from repro.config import baseline_system
@@ -55,6 +57,18 @@ def _fail(store, spec, key, error) -> None:
 
 
 # -- serde --------------------------------------------------------------------
+@pytest.mark.parametrize("fixture", ["sample_result", "telemetry_result"])
+def test_result_json_matches_the_asdict_encoding(request, fixture):
+    """Thread rows are read field by field; the stored JSON is the bytes
+    ``dataclasses.asdict`` rows gave."""
+    result = request.getfixturevalue(fixture)
+    data = result_to_dict(result)
+    data["threads"] = [asdict(t) for t in result.threads]
+    expected = json.dumps(data, sort_keys=True, separators=(",", ":"))
+    assert result_to_json(result) == expected
+    assert (result.telemetry is not None) == (fixture == "telemetry_result")
+
+
 def test_result_json_round_trip_is_exact(sample_result):
     clone = result_from_json(result_to_json(sample_result))
     assert clone == sample_result  # dataclass equality, floats bit-exact

@@ -30,6 +30,32 @@ SIMULATOR = (
     "numpy",
 )
 
+# The execution stack: what only a step that runs a job may load.  A name
+# also covers its submodules.  tests/test_import_layering.py checks the
+# control modules' own imports against the same list.
+EXECUTION_STACK = (
+    "repro.sim.factory",
+    "repro.schedulers",
+    "repro.core",
+    "repro.sim.pool",
+    "repro.guard",
+    "repro.traces",
+    "repro.workloads.generator",
+    "multiprocessing",
+    "concurrent.futures.process",
+)
+
+
+def _forbidden(loaded: set[str]) -> list[str]:
+    """The simulator and execution-stack modules among ``loaded``."""
+    return sorted(
+        name
+        for name in loaded
+        if name in SIMULATOR
+        or any(name == top or name.startswith(top + ".") for top in EXECUTION_STACK)
+    )
+
+
 # Runs ``python -m repro ARGS`` in-process (as ``-m`` would) and writes
 # the names in ``sys.modules`` at exit to the file named first.
 _CLI_PROBE = """
@@ -143,7 +169,49 @@ def test_campaign_read_steps_load_no_simulator(finished_campaign, action):
     root, spec = finished_campaign
     loaded = _loaded_by_cli(root, "campaign", action[0], str(spec), *action[1:])
     assert "repro.campaign.store" in loaded
-    assert not loaded & set(SIMULATOR), sorted(loaded & set(SIMULATOR))
+    assert _forbidden(loaded) == []
+
+
+@pytest.mark.parametrize(
+    "flags, fresh_store",
+    [
+        (("--limit", "0"), True),
+        (("--dry-run",), True),
+        ((), False),
+    ],
+    ids=["limit-0", "dry-run", "nothing-pending"],
+)
+def test_campaign_run_without_jobs_loads_no_execution_stack(
+    finished_campaign, tmp_path, flags, fresh_store
+):
+    """The set-up probe, a dry run and a resume that finds every job
+    stored import the campaign layer only."""
+    root, spec = finished_campaign
+    where = tmp_path if fresh_store else root
+    loaded = _loaded_by_cli(
+        where, "--backend", "fast", "--jobs", "2", "campaign", "run", str(spec), *flags
+    )
+    assert "repro.campaign.spec" in loaded
+    assert _forbidden(loaded) == []
+
+
+def test_preload_imports_every_scheduler(tmp_path):
+    """Forked pool workers inherit the schedulers instead of importing
+    them on their first job."""
+    bare = _loaded_by_code(tmp_path, "import repro.sim.factory")
+    loaded = _loaded_by_code(
+        tmp_path, "from repro.sim.pool import preload_simulator\npreload_simulator('fast')"
+    )
+    schedulers = {
+        "repro.schedulers.fcfs",
+        "repro.schedulers.frfcfs",
+        "repro.schedulers.nfq",
+        "repro.schedulers.stfm",
+        "repro.core.parbs",
+    }
+    assert not bare & schedulers
+    assert schedulers <= loaded
+    assert "repro.dram.fastctl" in loaded
 
 
 def test_fast_backend_never_loads_numpy(tmp_path):

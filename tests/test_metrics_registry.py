@@ -9,7 +9,11 @@ JSON/Prometheus export shapes.
 from __future__ import annotations
 
 import json
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -163,6 +167,37 @@ def test_collect_process_metrics_namespaces():
     ):
         assert name in snap["counters"]
     reset_metrics()
+
+
+_FRESH_SNAPSHOTS = """
+import json, sys
+from repro.obs.metrics import collect_process_metrics
+fresh = collect_process_metrics().snapshot()
+unloaded = [m for m in ("repro.sim.pool", "repro.guard.chaos", "repro.guard.invariants",
+                        "repro.campaign.queue", "repro.campaign.store") if m not in sys.modules]
+import repro.campaign.queue, repro.campaign.store
+import repro.guard.chaos, repro.guard.invariants, repro.sim.pool
+print(json.dumps([unloaded, fresh, collect_process_metrics().snapshot()]))
+"""
+
+
+def test_collect_process_metrics_imports_nothing_and_keys_match(tmp_path):
+    """A layer never imported contributes its counters' zero keys: the
+    snapshot equals one taken with every layer loaded."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", _FRESH_SNAPSHOTS],
+        env=env,
+        cwd=tmp_path,
+        check=True,
+        capture_output=True,
+        text=True,
+    )
+    unloaded, fresh, loaded = json.loads(proc.stdout)
+    assert len(unloaded) == 5
+    assert fresh == loaded
+    assert "worker.leases_fenced" in fresh["counters"]
 
 
 # -- exporters ----------------------------------------------------------------
