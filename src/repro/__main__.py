@@ -22,22 +22,13 @@ import logging
 import os
 import sys
 
+from .envknobs import EnvKnobError
+from .events import SimulationError
+from .workloads.mixes import UnknownMixError
+
 # Each subcommand imports the experiment drivers, the runner and the
 # campaign layers it runs inside its own handler, so a step that only
 # reads the result store never loads the simulator.
-
-# Errors whose message is the whole diagnosis, by defining module:
-# configuration mistakes (bad knob value, mix-name typo) exit 2;
-# structured failures from the guard layer (the message carries
-# cycle/bank/request context or the stall diagnostic dump) exit 1.  An
-# error can only have been raised if its module is loaded, so matching
-# imports nothing.
-_ERROR_EXITS = (
-    ("repro.envknobs", "EnvKnobError", 2),
-    ("repro.workloads.mixes", "UnknownMixError", 2),
-    ("repro.guard.invariants", "InvariantViolation", 1),
-    ("repro.events", "SimulationStalled", 1),
-)
 
 # Short alias -> case-study name.  The names are the keys of
 # ``repro.experiments.case_studies.CASE_STUDIES``, kept here so that
@@ -435,26 +426,22 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         status = _dispatch(args, instructions)
-    except Exception as exc:
-        code = _error_exit(exc)
-        if code is None:
-            raise
+    except (EnvKnobError, UnknownMixError) as exc:
+        # Configuration mistakes (bad knob value, mix-name typo): the
+        # message already says what was wrong and what is valid.
         print(f"error: {exc}", file=sys.stderr)
-        return code
+        return 2
+    except SimulationError as exc:
+        # Structured failures from the simulator and the guard layer
+        # (InvariantViolation, SimulationStalled): the message already
+        # carries cycle/bank/request context or the stall diagnostic dump.
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     # Cache statistics no longer interleave with experiment output here:
     # they flow through the metrics registry (collect_process_metrics) into
     # campaign reports and `campaign watch`; `-v` still logs the pool's
     # one-line cache report at INFO.
     return status
-
-
-def _error_exit(exc: Exception) -> int | None:
-    """The exit code for an error listed in ``_ERROR_EXITS``, else None."""
-    for module, name, code in _ERROR_EXITS:
-        cls = getattr(sys.modules.get(module), name, None)
-        if cls is not None and isinstance(exc, cls):
-            return code
-    return None
 
 
 def _dispatch(args: argparse.Namespace, instructions: int | None) -> int:

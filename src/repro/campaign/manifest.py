@@ -17,10 +17,10 @@ fresh one otherwise.
 from __future__ import annotations
 
 import os
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from ..sim.verify import backend_from_env
-from .spec import CampaignJob, CampaignSpec
+from .spec import CampaignSpec
 from .store import SCHEMA_VERSION
 
 __all__ = ["MANIFEST_VERSION", "build_manifest"]
@@ -53,18 +53,11 @@ _ENV_KNOBS = (
 
 
 def build_manifest(
-    spec: CampaignSpec,
-    environ: Mapping[str, str] | None = None,
-    *,
-    grid: Sequence[CampaignJob] | None = None,
+    spec: CampaignSpec, environ: Mapping[str, str] | None = None
 ) -> dict:
-    """The manifest dict for running ``spec`` in the current environment.
-
-    ``grid`` is ``spec.expand()`` when the caller already holds it.
-    """
+    """The manifest dict for running ``spec`` in the current environment."""
     env = os.environ if environ is None else environ
-    if grid is None:
-        grid = spec.expand()
+    grid = spec.expand()
     if environ is None:
         backend = backend_from_env()
     else:  # tests pass a mapping; mirror the knob's default

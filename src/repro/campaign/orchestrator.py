@@ -141,7 +141,7 @@ def run_campaign(
     # that is interrupted before its first commit.  The manifest is a
     # pure function of spec + environment (no timestamps), so a resume
     # under the same knobs rewrites identical bytes.
-    store.set_manifest(spec.fingerprint(), build_manifest(spec, grid=grid))
+    store.set_manifest(spec.fingerprint(), build_manifest(spec))
     statuses = store.statuses(job.key for job in grid)
     to_run = [job for job in grid if statuses.get(job.key) != "done"]
     stats = RunStats(total=len(grid), skipped=len(grid) - len(to_run))

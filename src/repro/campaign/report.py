@@ -28,11 +28,11 @@ import csv
 import io
 import json
 import time
-from typing import Any, Sequence
+from typing import Any
 
 from ..experiments.paper_values import TABLE4
 from ..metrics.summary import WorkloadResult, geomean
-from .spec import CampaignJob, CampaignSpec
+from .spec import CampaignSpec
 from .store import ResultStore
 
 __all__ = [
@@ -117,20 +117,15 @@ def status_report(
 
 
 def summary_table(
-    spec: CampaignSpec,
-    store: ResultStore,
-    *,
-    grid: Sequence[CampaignJob] | None = None,
+    spec: CampaignSpec, store: ResultStore
 ) -> dict[int, dict[str, dict[str, float]]]:
     """``{num_cores: {variant: {metric: value}}}`` over completed jobs.
 
     Geometric means over every (seed × mix) sample per variant, matching
     :meth:`repro.experiments.aggregate.AggregateResult.summary`; variants
-    with no completed jobs for a core count are omitted.  ``grid`` is
-    ``spec.expand()`` when the caller already holds it.
+    with no completed jobs for a core count are omitted.
     """
-    if grid is None:
-        grid = spec.expand()
+    grid = spec.expand()
     results = store.results_for(job.key for job in grid)
     out: dict[int, dict[str, dict[str, float]]] = {}
     for cores in spec.num_cores:
@@ -167,8 +162,7 @@ def campaign_report(
     """The campaign's aggregate tables as markdown (or CSV)."""
     if fmt not in ("markdown", "csv"):
         raise ValueError(f"unknown report format {fmt!r}; use markdown or csv")
-    grid = spec.expand()
-    tables = summary_table(spec, store, grid=grid)
+    tables = summary_table(spec, store)
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -184,6 +178,7 @@ def campaign_report(
     lines = [f"# Campaign {spec.name}", ""]
     if spec.description:
         lines += [spec.description, ""]
+    grid = spec.expand()
     statuses = store.statuses(job.key for job in grid)
     done = sum(1 for s in statuses.values() if s == "done")
     lines += [

@@ -293,37 +293,6 @@ def merge_job_metrics(blobs: Iterable[Mapping[str, int]]) -> dict[str, int]:
 
 # -- operational collection --------------------------------------------------
 
-# The plain-dict counters of the operational layers, by defining module:
-# (module, dict, metric prefix, the keys the dict starts with).  A module
-# this process never imported counted nothing, so it contributes its
-# starting keys at zero and is not imported for it.
-_PROCESS_STATS = (
-    (
-        "repro.sim.diskcache",
-        "GLOBAL_STATS",
-        "cache.",
-        ("hits", "misses", "writes", "quarantined", "pruned"),
-    ),
-    ("repro.sim.pool", "JOB_STATS", "pool.jobs_", ("executed",)),
-    ("repro.sim.pool", "POOL_STATS", "pool.", ("respawns", "serial_fallbacks", "timeouts")),
-    ("repro.guard.invariants", "GUARD_STATS", "guard.violations.", ()),
-    ("repro.guard.chaos", "CHAOS_STATS", "chaos.fired.", ()),
-    ("repro.campaign.store", "STORE_STATS", "store.", ("commit_retries",)),
-    (
-        "repro.campaign.queue",
-        "QUEUE_STATS",
-        "worker.",
-        (
-            "leases_claimed",
-            "leases_renewed",
-            "leases_expired",
-            "leases_reclaimed",
-            "leases_fenced",
-        ),
-    ),
-)
-
-
 def collect_process_metrics() -> MetricsRegistry:
     """This process's operational counters as one fresh registry.
 
@@ -331,14 +300,41 @@ def collect_process_metrics() -> MetricsRegistry:
     keep their native plain-dict counters (zero overhead, no imports of
     this module), and this function folds them — together with whatever
     instruments pushed into the probe-or-None registry — into a single
-    mergeable snapshot.  It reads the counters of loaded modules only
-    (see ``_PROCESS_STATS``), so collecting never imports a layer.
+    mergeable snapshot.  Imports are lazy so the obs package never drags
+    the campaign stack in at import time, and the guard counters are read
+    only from guard modules already loaded: they start empty, so a guard
+    layer this process never imported counted nothing.
     """
     registry = MetricsRegistry()
     registry.merge(_REGISTRY)
-    for module, attr, prefix, keys in _PROCESS_STATS:
-        loaded = sys.modules.get(module)
-        stats = getattr(loaded, attr) if loaded is not None else dict.fromkeys(keys, 0)
-        for name in sorted(stats):
-            registry.counter(prefix + name).inc(stats[name])
+
+    from ..sim.diskcache import GLOBAL_STATS
+
+    for name in sorted(GLOBAL_STATS):
+        registry.counter(f"cache.{name}").inc(GLOBAL_STATS[name])
+
+    from ..sim.poolstats import JOB_STATS, POOL_STATS
+
+    registry.counter("pool.jobs_executed").inc(JOB_STATS["executed"])
+    for name in sorted(POOL_STATS):
+        registry.counter(f"pool.{name}").inc(POOL_STATS[name])
+
+    invariants = sys.modules.get("repro.guard.invariants")
+    guard_stats = invariants.GUARD_STATS if invariants is not None else {}
+    for kind in sorted(guard_stats):
+        registry.counter(f"guard.violations.{kind}").inc(guard_stats[kind])
+
+    chaos = sys.modules.get("repro.guard.chaos")
+    chaos_stats = chaos.CHAOS_STATS if chaos is not None else {}
+    for kind in sorted(chaos_stats):
+        registry.counter(f"chaos.fired.{kind}").inc(chaos_stats[kind])
+
+    from ..campaign.store import STORE_STATS
+
+    registry.counter("store.commit_retries").inc(STORE_STATS["commit_retries"])
+
+    from ..campaign.queue import QUEUE_STATS
+
+    for name in sorted(QUEUE_STATS):
+        registry.counter(f"worker.{name}").inc(QUEUE_STATS[name])
     return registry

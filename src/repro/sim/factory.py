@@ -8,44 +8,30 @@ Names accepted (case-insensitive):
 * variants via keyword arguments, e.g.
   ``make_scheduler("PAR-BS", 4, marking_cap=None)`` or
   ``make_scheduler("PAR-BS", 4, batching="static", batch_duration=3200)``.
-
-A scheduler's module is imported when the first scheduler of that kind is
-built, so naming (and checking) a scheduler loads none of them.
 """
 
 from __future__ import annotations
 
-from importlib import import_module
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 from ..config import SCHEDULER_NAMES, scheduler_name
+from ..core.parbs import ParBsScheduler
+from ..schedulers import FcfsScheduler, FrFcfsScheduler, NfqScheduler, Scheduler, StfmScheduler
 
-if TYPE_CHECKING:  # pragma: no cover
-    from ..schedulers.base import Scheduler
+__all__ = ["make_scheduler", "SCHEDULER_NAMES", "SchedulerFactory"]
 
-__all__ = ["make_scheduler", "SCHEDULER_NAMES", "SchedulerFactory", "import_schedulers"]
-
-SchedulerFactory = Callable[[int], "Scheduler"]
-
-# Name -> (module, class, whether it takes the thread count and keyword
-# arguments); FCFS and FR-FCFS keep no per-thread state.
-_SCHEDULERS = {
-    "FR-FCFS": ("..schedulers.frfcfs", "FrFcfsScheduler", False),
-    "FCFS": ("..schedulers.fcfs", "FcfsScheduler", False),
-    "NFQ": ("..schedulers.nfq", "NfqScheduler", True),
-    "STFM": ("..schedulers.stfm", "StfmScheduler", True),
-    "PAR-BS": ("..core.parbs", "ParBsScheduler", True),
-}
+SchedulerFactory = Callable[[int], Scheduler]
 
 
 def make_scheduler(name: str, num_threads: int, **kwargs) -> Scheduler:
     """Instantiate a scheduler by paper name for ``num_threads`` threads."""
-    module, attr, per_thread = _SCHEDULERS[scheduler_name(name)]
-    cls = getattr(import_module(module, __package__), attr)
-    return cls(num_threads, **kwargs) if per_thread else cls()
-
-
-def import_schedulers() -> None:
-    """Import every scheduler's module (a process about to fork workers)."""
-    for module, _cls, _per_thread in _SCHEDULERS.values():
-        import_module(module, __package__)
+    key = scheduler_name(name)
+    if key == "FCFS":
+        return FcfsScheduler()
+    if key == "FR-FCFS":
+        return FrFcfsScheduler()
+    if key == "NFQ":
+        return NfqScheduler(num_threads, **kwargs)
+    if key == "STFM":
+        return StfmScheduler(num_threads, **kwargs)
+    return ParBsScheduler(num_threads, **kwargs)

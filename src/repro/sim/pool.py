@@ -55,6 +55,7 @@ from ..envknobs import default_job_timeout, default_jobs
 from ..guard.chaos import ChaosInjectedError, chaos_from_env
 from ..obs.config import TraceConfig
 from .diskcache import GLOBAL_STATS, DiskCache, content_key
+from .poolstats import JOB_STATS, POOL_STATS
 from .verify import backend_from_env
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -78,17 +79,6 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
-
-# Count of simulations actually executed by this process (serial path and
-# pool workers each count their own).  The campaign resume tests read this
-# to prove that a resumed run re-simulates only the missing jobs.
-JOB_STATS = {"executed": 0}
-
-# Operational counters of this process's pool management (submitting side:
-# respawns after incidents, no-progress timeouts, falls back to serial).
-# Folded into the metrics plane by
-# :func:`repro.obs.metrics.collect_process_metrics`.
-POOL_STATS = {"respawns": 0, "serial_fallbacks": 0, "timeouts": 0}
 
 # After this many pool incidents (worker deaths, no-progress timeouts) the
 # engine stops respawning pools and runs the survivors serially.

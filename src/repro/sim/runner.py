@@ -38,15 +38,9 @@ from ..traces.source import TraceFileRef, TraceRequestSource
 from ..workloads.generator import TraceGenerator
 from ..workloads.profiles import profile
 from .diskcache import SIM_FINGERPRINT, DiskCache, cache_enabled, content_key
-from .factory import import_schedulers, make_scheduler
+from .factory import make_scheduler
 from .system import System
 from .verify import BACKENDS, backend_from_env, compare_results, compare_systems
-
-# A runner may run any scheduler, so every scheduler loads with it: a pool
-# forked after this inherits them, and they load before the first job's
-# allocations (loaded only at the first fork, the direct path's peak RSS
-# measured about 0.2 MB higher).
-import_schedulers()
 
 __all__ = [
     "AloneStats",

@@ -198,7 +198,6 @@ def test_campaign_run_without_jobs_loads_no_execution_stack(
 def test_preload_imports_every_scheduler(tmp_path):
     """Forked pool workers inherit the schedulers instead of importing
     them on their first job."""
-    bare = _loaded_by_code(tmp_path, "import repro.sim.factory")
     loaded = _loaded_by_code(
         tmp_path, "from repro.sim.pool import preload_simulator\npreload_simulator('fast')"
     )
@@ -209,7 +208,6 @@ def test_preload_imports_every_scheduler(tmp_path):
         "repro.schedulers.stfm",
         "repro.core.parbs",
     }
-    assert not bare & schedulers
     assert schedulers <= loaded
     assert "repro.dram.fastctl" in loaded
 

@@ -24,6 +24,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 CONTROL = (
     "repro/campaign/spec.py",
     "repro/campaign/store.py",
+    "repro/campaign/queue.py",
     "repro/campaign/report.py",
     "repro/campaign/manifest.py",
     "repro/campaign/orchestrator.py",

@@ -173,17 +173,16 @@ _FRESH_SNAPSHOTS = """
 import json, sys
 from repro.obs.metrics import collect_process_metrics
 fresh = collect_process_metrics().snapshot()
-unloaded = [m for m in ("repro.sim.pool", "repro.guard.chaos", "repro.guard.invariants",
-                        "repro.campaign.queue", "repro.campaign.store") if m not in sys.modules]
-import repro.campaign.queue, repro.campaign.store
+unloaded = [m for m in ("repro.sim.pool", "repro.guard.chaos", "repro.guard.invariants")
+            if m not in sys.modules]
 import repro.guard.chaos, repro.guard.invariants, repro.sim.pool
 print(json.dumps([unloaded, fresh, collect_process_metrics().snapshot()]))
 """
 
 
-def test_collect_process_metrics_imports_nothing_and_keys_match(tmp_path):
-    """A layer never imported contributes its counters' zero keys: the
-    snapshot equals one taken with every layer loaded."""
+def test_collect_process_metrics_loads_no_pool_or_guard(tmp_path):
+    """Collecting imports neither the pool nor the guard layer, and the
+    snapshot equals one taken with them loaded."""
     env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
     env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
     proc = subprocess.run(
@@ -195,9 +194,9 @@ def test_collect_process_metrics_imports_nothing_and_keys_match(tmp_path):
         text=True,
     )
     unloaded, fresh, loaded = json.loads(proc.stdout)
-    assert len(unloaded) == 5
+    assert len(unloaded) == 3
     assert fresh == loaded
-    assert "worker.leases_fenced" in fresh["counters"]
+    assert "pool.respawns" in fresh["counters"]
 
 
 # -- exporters ----------------------------------------------------------------
