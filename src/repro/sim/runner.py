@@ -58,6 +58,43 @@ TRACE_PREFIX = "trace:"
 _DEFAULT_CACHE = object()
 
 
+# Disk-cache record of a trace: ``name``, ``entries`` as ``[gap, address,
+# is_write (0/1), depends_on]`` rows, and — for traces read from a file
+# only — ``ingest`` as ``[requests_read, lines_skipped, truncated]``.
+def _trace_payload(trace: Trace) -> dict[str, Any]:
+    payload: dict[str, Any] = {
+        "name": trace.name,
+        "entries": [
+            [e.gap, e.address, int(e.is_write), e.depends_on]
+            for e in trace.entries
+        ],
+    }
+    ingest = trace.ingest
+    if ingest is not None:
+        payload["ingest"] = [
+            ingest.requests_read,
+            ingest.lines_skipped,
+            ingest.truncated,
+        ]
+    return payload
+
+
+def _trace_from_payload(payload: dict[str, Any]) -> Trace:
+    stats = payload.get("ingest")
+    ingest = None
+    if stats is not None:
+        ingest = TraceIngestStats(
+            requests_read=int(stats[0]),
+            lines_skipped=int(stats[1]),
+            truncated=bool(stats[2]),
+        )
+    return Trace(
+        (TraceEntry(e[0], e[1], bool(e[2]), e[3]) for e in payload["entries"]),
+        name=payload["name"],
+        ingest=ingest,
+    )
+
+
 @dataclass(frozen=True)
 class AloneStats:
     """Alone-run baseline of one benchmark on one system configuration."""
@@ -206,16 +243,7 @@ class ExperimentRunner:
         if self._disk is not None:
             cached = self._disk.get("trace", disk_key)
             if cached is not None:
-                stats = cached.get("ingest") or [0, 0, False]
-                trace = Trace(
-                    (TraceEntry(e[0], e[1], bool(e[2]), e[3]) for e in cached["entries"]),
-                    name=cached["name"],
-                    ingest=TraceIngestStats(
-                        requests_read=int(stats[0]),
-                        lines_skipped=int(stats[1]),
-                        truncated=bool(stats[2]),
-                    ),
-                )
+                trace = _trace_from_payload(cached)
                 self._trace_cache[key] = trace
                 return trace
         name = entry[len(TRACE_PREFIX):] if entry.startswith(TRACE_PREFIX) else entry
@@ -229,24 +257,7 @@ class ExperimentRunner:
         if not trace.entries:
             raise ValueError(f"trace {name!r} ({ref.path}) has no records")
         if self._disk is not None:
-            ingest = trace.ingest
-            assert ingest is not None
-            self._disk.put(
-                "trace",
-                disk_key,
-                {
-                    "name": trace.name,
-                    "entries": [
-                        [e.gap, e.address, int(e.is_write), e.depends_on]
-                        for e in trace.entries
-                    ],
-                    "ingest": [
-                        ingest.requests_read,
-                        ingest.lines_skipped,
-                        ingest.truncated,
-                    ],
-                },
-            )
+            self._disk.put("trace", disk_key, _trace_payload(trace))
         self._trace_cache[key] = trace
         return trace
 
@@ -285,10 +296,7 @@ class ExperimentRunner:
         if self._disk is not None:
             cached = self._disk.get("trace", disk_key)
             if cached is not None:
-                trace = Trace(
-                    (TraceEntry(e[0], e[1], bool(e[2]), e[3]) for e in cached["entries"]),
-                    name=cached["name"],
-                )
+                trace = _trace_from_payload(cached)
                 self._trace_cache[key] = trace
                 return trace
         trace = self.generator.generate(
@@ -297,17 +305,7 @@ class ExperimentRunner:
             seed=self.seed + 1000 * copy_index,
         )
         if self._disk is not None:
-            self._disk.put(
-                "trace",
-                disk_key,
-                {
-                    "name": trace.name,
-                    "entries": [
-                        [e.gap, e.address, int(e.is_write), e.depends_on]
-                        for e in trace.entries
-                    ],
-                },
-            )
+            self._disk.put("trace", disk_key, _trace_payload(trace))
         self._trace_cache[key] = trace
         return trace
 
@@ -666,16 +664,6 @@ class ExperimentRunner:
         ]
         warm_baselines(sim_jobs, workers, runner=self)
         return run_jobs(sim_jobs, workers)
-
-    def cache_report(self) -> str:
-        """One-line digest of this process's disk-cache traffic."""
-        from .diskcache import GLOBAL_STATS
-
-        return (
-            f"disk cache: {GLOBAL_STATS['hits']} hits, "
-            f"{GLOBAL_STATS['misses']} misses, "
-            f"{GLOBAL_STATS['writes']} writes"
-        )
 
     def compare_schedulers(
         self,

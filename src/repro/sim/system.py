@@ -27,8 +27,8 @@ from ..schedulers.base import Scheduler
 __all__ = ["DramPort", "System"]
 
 # No-progress watchdog: every this-many events, check that at least one
-# instruction retired somewhere; a single int compare per event keeps the
-# hot loop at bench-gate speed.
+# instruction retired somewhere; the hot loop pays a single int compare
+# per event for it.
 _WATCHDOG_CHECK_EVENTS = 1 << 18
 
 # Optional long-run progress callback, invoked with the running event
@@ -158,8 +158,8 @@ class System:
         # Events processed by the last ``run()``.  ``events_logical`` adds
         # the wakes the fast backend elided (see fastctl): it equals the
         # python backend's processed count for the same run and is the
-        # numerator of the simulator-throughput metric (events/sec) in
-        # bench_simrate.  On the python backend the two are identical.
+        # numerator of perfbench's ``system.events_per_s``.  On the python
+        # backend the two are identical.
         self.events_processed = 0
         self.events_elided = 0
         self.events_logical = 0

@@ -6,6 +6,11 @@ and metrics — only cheaper per event.  These tests pin that contract:
 
 - golden equivalence across every scheduler x {4, 8} cores x 2 seeds,
   compared command-by-command via :func:`repro.sim.verify.compare_systems`;
+- the simulated work of each of those runs (logical, processed and elided
+  events, min-rebuilds, cycles), pinned exactly in :data:`FAST_WORK`;
+- observers that cannot steer: a run leaves the metrics registry as it
+  found it, and neither ``REPRO_METRICS=0`` nor a progress hook changes
+  the simulated work; the hook fires once per watchdog checkpoint;
 - the flat-array timing kernel against ``Bank.service`` + ``DataBus``;
 - ``fast_access``-constructed requests against the dataclass constructor,
   field for field;
@@ -31,7 +36,10 @@ from repro.dram.request import MemoryRequest, RequestType
 from repro.envknobs import EnvKnobError
 from repro.events import EventQueue
 from repro.guard.invariants import Guard
+from repro.obs.metrics import collect_process_metrics, metrics_from_env
+from repro.sim import system as system_module
 from repro.sim.factory import SCHEDULER_NAMES, make_scheduler
+from repro.sim.pool import sim_progress
 from repro.sim.runner import ExperimentRunner
 from repro.sim.system import System
 from repro.sim.verify import (
@@ -80,6 +88,57 @@ def _run(backend: str, scheduler: str, cores: int, seed: int, guard=None) -> Sys
     return system
 
 
+# Simulated work of each golden run on the fast backend: (events_logical,
+# events_processed, events_elided, min_rebuilds, sim_cycles).  Exact and
+# host-independent, so a change that dispatches wakes the fast backend
+# used to elide, rebuilds cached minima more often, or moves the event
+# trajectory fails here even when every paper metric is unchanged.  A
+# change that means to move a row (for the better, too) updates it and
+# says why.
+FAST_WORK = {
+    ("FR-FCFS", 4, 0): (12819, 9571, 3248, 647, 117632),
+    ("FR-FCFS", 4, 1): (11005, 8200, 2805, 515, 100399),
+    ("FR-FCFS", 8, 0): (20096, 15346, 4750, 779, 99404),
+    ("FR-FCFS", 8, 1): (20238, 15308, 4930, 591, 94793),
+    ("FCFS", 4, 0): (11978, 9044, 2934, 502, 105529),
+    ("FCFS", 4, 1): (12079, 9015, 3064, 488, 111883),
+    ("FCFS", 8, 0): (24512, 18406, 6106, 812, 109521),
+    ("FCFS", 8, 1): (24887, 18685, 6202, 705, 111709),
+    ("NFQ", 4, 0): (16452, 12350, 4102, 603, 139127),
+    ("NFQ", 4, 1): (16264, 12092, 4172, 558, 145210),
+    ("NFQ", 8, 0): (40358, 29956, 10402, 1120, 170524),
+    ("NFQ", 8, 1): (42303, 31426, 10877, 996, 179473),
+    ("STFM", 4, 0): (14891, 10991, 3900, 555, 125047),
+    ("STFM", 4, 1): (15134, 11380, 3754, 529, 134445),
+    ("STFM", 8, 0): (30005, 22567, 7438, 898, 129958),
+    ("STFM", 8, 1): (31289, 23407, 7882, 806, 138394),
+    ("PAR-BS", 4, 0): (15929, 11783, 4146, 579, 129065),
+    ("PAR-BS", 4, 1): (16031, 11967, 4064, 575, 134118),
+    ("PAR-BS", 8, 0): (30084, 22308, 7776, 935, 126289),
+    ("PAR-BS", 8, 1): (29776, 22168, 7608, 782, 129142),
+}
+
+
+def _work(system: System) -> tuple[int, int, int, int, int]:
+    return (
+        system.events_logical,
+        system.events_processed,
+        system.events_elided,
+        system.min_rebuilds,
+        system.queue.now,
+    )
+
+
+def _expected_work(backend: str, scheduler: str, cores: int, seed: int):
+    """The pinned work of one golden run; the python backend dispatches
+    every logical event and has no cached minima to rebuild."""
+    work = FAST_WORK[scheduler, cores, seed]
+    if backend == "python":
+        logical, _, _, _, cycles = work
+        return (logical, logical, 0, 0, cycles)
+    return work
+
+
 # -- golden equivalence --------------------------------------------------------
 @pytest.mark.parametrize("seed", [0, 1])
 @pytest.mark.parametrize("cores", [4, 8])
@@ -91,6 +150,41 @@ def test_fast_backend_bit_identical(scheduler, cores, seed):
     # Full comparison: command stream, cycles, events, final bank/bus
     # state, per-thread stats, core snapshots.  Raises on divergence.
     compare_systems(reference, fast)
+    assert _work(fast) == _expected_work("fast", scheduler, cores, seed)
+    assert _work(reference) == _expected_work("python", scheduler, cores, seed)
+
+
+# -- observers do not steer ----------------------------------------------------
+@pytest.mark.parametrize("backend", ["python", "fast"])
+def test_run_leaves_metrics_registry_untouched(monkeypatch, backend):
+    """Nothing is counted per simulated event: a run leaves every
+    operational counter of the process as it found it, and disabling
+    metrics changes no simulated count."""
+    monkeypatch.delenv("REPRO_METRICS", raising=False)
+    assert metrics_from_env() is not None
+    before = collect_process_metrics().snapshot()
+    enabled = _run(backend, "PAR-BS", 4, 0)
+    assert collect_process_metrics().snapshot() == before
+    monkeypatch.setenv("REPRO_METRICS", "0")
+    assert metrics_from_env() is None
+    disabled = _run(backend, "PAR-BS", 4, 0)
+    expected = _expected_work(backend, "PAR-BS", 4, 0)
+    assert _work(enabled) == _work(disabled) == expected
+
+
+@pytest.mark.parametrize("backend", ["python", "fast"])
+def test_progress_hook_fires_once_per_watchdog_checkpoint(monkeypatch, backend):
+    """The progress hook observes without steering: a hooked run does the
+    pinned work, and the callback fires at every watchdog checkpoint and
+    nowhere else.  ``System.run`` reads the checkpoint interval at run
+    time, so a small one lets a short run cross many checkpoints."""
+    interval = 1000
+    monkeypatch.setattr(system_module, "_WATCHDOG_CHECK_EVENTS", interval)
+    ticks: list[int] = []
+    with sim_progress(ticks.append):
+        hooked = _run(backend, "PAR-BS", 4, 0)
+    assert _work(hooked) == _expected_work(backend, "PAR-BS", 4, 0)
+    assert ticks == list(range(interval, hooked.events_processed + 1, interval))
 
 
 # -- the timing kernel ---------------------------------------------------------

@@ -152,9 +152,3 @@ def test_thread_result_surfaces_row_stats_and_latency(tmp_path):
     # The human summary now reports the new fields.
     assert "rowhit=" in result.describe()
     assert "lat avg=" in result.describe()
-
-
-def test_cache_report_one_liner():
-    runner = make_runner(cache_dir=None)
-    report = runner.cache_report()
-    assert "hits" in report and "misses" in report and "writes" in report
