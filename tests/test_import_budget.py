@@ -195,6 +195,41 @@ def test_campaign_run_without_jobs_loads_no_execution_stack(
     assert _forbidden(loaded) == []
 
 
+# -- steps that run jobs --------------------------------------------------------
+def test_serial_campaign_run_loads_no_process_pool(finished_campaign, tmp_path):
+    """A ``--jobs 1`` run simulates in this process and starts no pool."""
+    _, spec = finished_campaign
+    loaded = _loaded_by_cli(
+        tmp_path, "--backend", "fast", "--jobs", "1", "campaign", "run", str(spec)
+    )
+    assert "repro.sim.system" in loaded
+    assert "concurrent.futures.process" not in loaded
+
+
+_RUN_MANY = (
+    "from repro.config import baseline_system\n"
+    "from repro.sim.runner import ExperimentRunner\n"
+    "runner = ExperimentRunner(baseline_system(4), instructions=1000,\n"
+    "                          backend='fast', cache_dir=None)\n"
+    "runner.run_many([(['mcf', 'libquantum', 'omnetpp', 'hmmer'], name, dict())\n"
+    "                 for name in ('FR-FCFS', 'PAR-BS')], jobs={jobs})"
+)
+
+
+def test_serial_run_many_loads_no_process_pool(tmp_path):
+    loaded = _loaded_by_code(tmp_path, _RUN_MANY.format(jobs=1))
+    assert "repro.sim.system" in loaded
+    assert "concurrent.futures.process" not in loaded
+
+
+def test_pooled_run_many_parent_loads_no_sqlite(tmp_path):
+    """The direct path opens no result store, so its parent loads no
+    SQLite."""
+    loaded = _loaded_by_code(tmp_path, _RUN_MANY.format(jobs=2))
+    assert "concurrent.futures.process" in loaded
+    assert "sqlite3" not in loaded
+
+
 def test_preload_imports_every_scheduler(tmp_path):
     """Forked pool workers inherit the schedulers instead of importing
     them on their first job."""

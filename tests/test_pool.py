@@ -5,11 +5,12 @@ from __future__ import annotations
 import os
 import pickle
 import time
+from collections import Counter
 
 import pytest
 
 from repro.config import baseline_system
-from repro.sim import diskcache
+from repro.sim import diskcache, pool
 from repro.sim.diskcache import DiskCache, cache_enabled, clear_cache, content_key
 from repro.sim.pool import SimJob, default_jobs, run_job, run_jobs
 from repro.sim.runner import ExperimentRunner
@@ -225,6 +226,72 @@ def test_global_stats_accumulate(tmp_path):
     cache.get("alone", "x")
     assert diskcache.GLOBAL_STATS["writes"] == before["writes"] + 1
     assert diskcache.GLOBAL_STATS["hits"] == before["hits"] + 1
+
+
+# -- the in-flight window ------------------------------------------------------
+def _window_task(key: int, markers: str) -> int:
+    """``key * key``.  Key 7 raises until the parent has handled its
+    failure (a failure still in flight when the pool breaks is lost and
+    the key rerun); key 23 kills its worker once."""
+    if key == 7 and not os.path.exists(os.path.join(markers, "handled")):
+        raise RuntimeError("injected failure")
+    if key == 23:
+        try:
+            os.close(os.open(os.path.join(markers, "killed"), os.O_CREAT | os.O_EXCL))
+        except FileExistsError:
+            pass
+        else:
+            os._exit(3)
+    return key * key
+
+
+def test_run_tasks_keeps_twice_the_workers_in_flight(tmp_path, monkeypatch):
+    """A batch 15x the window, with one resubmitted failure and one
+    requeue after a killed worker: no wait ever sees more than
+    ``2 * workers`` futures, and every key resolves exactly once."""
+    workers, count = 2, 60
+    in_flight: list[int] = []
+    real_wait = pool.wait
+
+    def counting_wait(fs, *args, **kwargs):
+        in_flight.append(len(fs))
+        return real_wait(fs, *args, **kwargs)
+
+    monkeypatch.setattr(pool, "wait", counting_wait)
+    resolved: Counter = Counter()
+    failed: list[int] = []
+    requeued: list[list[int]] = []
+    fell_back: list[int] = []
+
+    def on_result(key: int, value: int) -> None:
+        assert value == key * key
+        resolved[key] += 1
+
+    def on_error(key: int, error: Exception) -> bool:
+        failed.append(key)
+        (tmp_path / "handled").touch()
+        return True
+
+    def on_requeue(keys: list[int]) -> list[int]:
+        requeued.append(keys)
+        return keys
+
+    respawns = pool.POOL_STATS["respawns"]
+    left = pool.run_tasks(
+        _window_task,
+        {key: (key, str(tmp_path)) for key in range(count)},
+        workers,
+        on_result=on_result,
+        on_error=on_error,
+        on_requeue=on_requeue,
+        fallback=fell_back.extend,
+    )
+    assert left == [] and fell_back == []
+    assert max(in_flight) == 2 * workers
+    assert resolved == Counter(range(count))
+    assert failed == [7]
+    assert len(requeued) == 1 and 23 in requeued[0]
+    assert pool.POOL_STATS["respawns"] == respawns + 1
 
 
 # -- wall-clock speedup (needs real cores) -------------------------------------

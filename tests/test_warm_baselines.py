@@ -157,7 +157,10 @@ def test_warm_cache_forks_nothing(tmp_path, monkeypatch, calling_runner):
     for benchmark in WORKLOAD:
         runner.alone(benchmark)
     checker = _runner(tmp_path / "cache")
-    monkeypatch.setattr(pool, "ProcessPoolExecutor", _NoExecutor)
+    # run_tasks imports the executor class when a generation starts.
+    monkeypatch.setattr(
+        "concurrent.futures.process.ProcessPoolExecutor", _NoExecutor
+    )
     pool.warm_baselines(
         _sim_jobs(checker), 2, runner=checker if calling_runner else None
     )
