@@ -568,9 +568,6 @@ def _dispatch_campaign(args: argparse.Namespace, instructions: int | None) -> in
             from .guard.chaos import ChaosPlan
 
             chaos = ChaosPlan.parse(args.chaos)
-            # Export the *resolved* plan (its marker dir pinned) so pool
-            # workers share the same once-only fault markers.
-            os.environ["REPRO_CHAOS"] = chaos.spec()
         probe = None
         tracer = None
         trace_dir = os.environ.get("REPRO_TRACE")
@@ -642,9 +639,6 @@ def _campaign_work(args: argparse.Namespace) -> int:
         from .guard.chaos import ChaosPlan
 
         chaos = ChaosPlan.parse(args.chaos)
-        # Resolved plan (marker dir pinned) so pool workers share the
-        # same once-only fault markers — mirrors ``campaign run``.
-        os.environ["REPRO_CHAOS"] = chaos.spec()
     with ResultStore(args.db) as store:
         if args.fingerprint is not None:
             try:
@@ -654,7 +648,6 @@ def _campaign_work(args: argparse.Namespace) -> int:
                 return 2
         else:
             spec = load_spec(args.spec)
-        store.chaos = chaos
         stats = drain_campaign(
             spec,
             store,
@@ -693,10 +686,10 @@ def _campaign_watch(spec, args: argparse.Namespace) -> int:
         # writer; WAL mode makes that safe, and reconnecting keeps each
         # snapshot consistent.
         with ResultStore(args.db) as store:
-            print(watch_report(spec, store))
             counts = watch_counts(spec, store)
+            print(watch_report(spec, store, counts=counts))
             if args.metrics_json or args.metrics_prom:
-                snapshot = merged_metrics(spec, store).snapshot()
+                snapshot = merged_metrics(spec, store, counts).snapshot()
                 if args.metrics_json:
                     write_snapshot(args.metrics_json, snapshot)
                     print(f"wrote {args.metrics_json}")

@@ -25,22 +25,23 @@ and transient OS failures are the target — the simulations themselves
 are deterministic), and anything still failing is recorded as ``failed``
 with its error text, to be retried by the next run.
 
-Progress streams through the :mod:`repro.obs` trace bus (``campaign.*``
-events) when a probe is supplied, and through ``logging`` always.
+Progress streams through the :mod:`repro.obs` trace bus when a probe is
+supplied — ``campaign.start``/``campaign.done`` from here, one
+``campaign.job`` per job from the drain — and through ``logging`` always.
 """
 
 from __future__ import annotations
 
 import logging
 import os
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from ..envknobs import default_job_timeout, default_jobs
-from ..obs.metrics import collect_process_metrics, metrics_from_env
 from ..sim.diskcache import DiskCache, cache_enabled, default_cache_dir
 from .manifest import build_manifest
-from .spec import CampaignJob, CampaignSpec
+from .spec import CampaignSpec
 from .store import ResultStore
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -107,9 +108,12 @@ def run_campaign(
     ``REPRO_LEASE_S``/``REPRO_HEARTBEAT_S``) tune the work-queue lease
     this run's drain holds on each in-flight job.
 
-    Only a run with jobs to simulate imports the execution stack (worker,
-    pool, chaos, schedulers); one that finds every job stored reads the
-    store and the spec alone.
+    The grid is registered and its statuses read once, here; the drain
+    runs the pending keys and keeps the run's bookkeeping, and
+    :class:`RunStats` is built from what it returns.  Only a run with
+    jobs to simulate imports the execution stack (worker, pool, chaos,
+    schedulers); one that finds every job stored reads the store and the
+    spec alone.
     """
     if chaos is None and (os.environ.get("REPRO_CHAOS") or "").strip():
         from ..guard.chaos import chaos_from_env
@@ -117,147 +121,92 @@ def run_campaign(
         chaos = chaos_from_env()
     if job_timeout_s is None:
         job_timeout_s = default_job_timeout()
-    if chaos is not None and os.environ.get("REPRO_CHAOS") != chaos.spec():
-        # Jobs resolve the plan from the environment (that is how pool
-        # workers see it), so export the resolved plan — marker dir
-        # pinned — for the duration of the run, then re-enter.
-        saved_chaos = os.environ.get("REPRO_CHAOS")
-        os.environ["REPRO_CHAOS"] = chaos.spec()
-        try:
-            return run_campaign(
-                spec, store, jobs=jobs, limit=limit, retries=retries,
-                backoff_s=backoff_s, probe=probe, chaos=chaos,
-                job_timeout_s=job_timeout_s, lease_s=lease_s,
-                heartbeat_s=heartbeat_s, worker_id=worker_id,
-            )
-        finally:
-            if saved_chaos is None:
-                os.environ.pop("REPRO_CHAOS", None)
-            else:
-                os.environ["REPRO_CHAOS"] = saved_chaos
-    grid = spec.expand()
-    store.register(spec, grid)
-    # Pin the run manifest up front: provenance must survive even a run
-    # that is interrupted before its first commit.  The manifest is a
-    # pure function of spec + environment (no timestamps), so a resume
-    # under the same knobs rewrites identical bytes.
-    store.set_manifest(spec.fingerprint(), build_manifest(spec))
-    statuses = store.statuses(job.key for job in grid)
-    to_run = [job for job in grid if statuses.get(job.key) != "done"]
-    stats = RunStats(total=len(grid), skipped=len(grid) - len(to_run))
-    if limit is not None and len(to_run) > limit:
-        stats.deferred = len(to_run) - limit
-        to_run = to_run[:limit]
-    workers = default_jobs() if jobs is None else max(1, jobs)
-    workers = min(workers, max(1, len(to_run)))
-    logger.info(
-        "campaign %s: %d jobs total, %d already stored, running %d over %d workers",
-        spec.name,
-        stats.total,
-        stats.skipped,
-        len(to_run),
-        workers,
-    )
-    if probe is not None:
-        probe.emit(
-            0,
-            "campaign.start",
-            name=spec.name,
-            fingerprint=spec.fingerprint(),
-            total=stats.total,
-            stored=stats.skipped,
-            running=len(to_run),
-        )
-    if not to_run:
-        if probe is not None:
-            probe.emit(0, "campaign.done", ran=0, failed=0, skipped=stats.skipped)
-        _finalize_metrics(spec, store, stats)
-        return stats
-
-    from ..obs.config import TraceConfig
-    from ..sim import pool
-    from .worker import drain_campaign, sim_job
-
-    trace = TraceConfig.from_env() or TraceConfig()
-    cache_dir = str(default_cache_dir()) if cache_enabled() else None
-    if chaos is not None:
-        store.chaos = chaos
-        if cache_dir is not None:
-            # Corrupt selected cache entries up front so the quarantine +
-            # recompute path runs under this campaign, not a later one.
-            chaos.corrupt_cache(DiskCache(cache_dir))
-    if workers > 1:
-        pool.warm_baselines(
-            [sim_job(job, trace, cache_dir) for job in to_run], workers
-        )
-
-    def on_done(
-        job: CampaignJob,
-        result: WorkloadResult,
-        wall: float,
-        attempt: int,
-        worker: str,
-    ) -> None:
-        stats.ran += 1
-        done = stats.skipped + stats.ran
+    # The manifest records REPRO_CHAOS, so the resolved plan is exported
+    # before it is built, and for the rest of the run.
+    with chaos.exported() if chaos is not None else nullcontext():
+        grid = spec.expand()
+        store.register(spec, grid)
+        # Pin the run manifest up front: provenance must survive even a
+        # run that is interrupted before its first commit.  The manifest
+        # is a pure function of spec + environment (no timestamps), so a
+        # resume under the same knobs rewrites identical bytes.
+        store.set_manifest(spec.fingerprint(), build_manifest(spec))
+        statuses = store.statuses(job.key for job in grid)
+        to_run = [job for job in grid if statuses.get(job.key) != "done"]
+        stats = RunStats(total=len(grid), skipped=len(grid) - len(to_run))
+        if limit is not None and len(to_run) > limit:
+            stats.deferred = len(to_run) - limit
+            to_run = to_run[:limit]
+        workers = default_jobs() if jobs is None else max(1, jobs)
+        workers = min(workers, max(1, len(to_run)))
         logger.info(
-            "campaign %s: %d/%d done (%s on %d cores)",
-            spec.name, done, stats.total, job.variant, job.num_cores,
+            "campaign %s: %d jobs total, %d already stored, running %d over %d workers",
+            spec.name,
+            stats.total,
+            stats.skipped,
+            len(to_run),
+            workers,
         )
         if probe is not None:
             probe.emit(
-                done,
-                "campaign.job",
-                key=job.key[:16],
-                variant=job.variant,
-                cores=job.num_cores,
-                status="done",
+                0,
+                "campaign.start",
+                name=spec.name,
+                fingerprint=spec.fingerprint(),
+                total=stats.total,
+                stored=stats.skipped,
+                running=len(to_run),
             )
-
-    def on_failed(job: CampaignJob, error: BaseException, attempt: int) -> None:
-        stats.failed += 1
-        if probe is not None:
-            probe.emit(
-                stats.skipped + stats.ran,
-                "campaign.job",
-                key=job.key[:16],
-                variant=job.variant,
-                cores=job.num_cores,
-                status="failed",
+        if not to_run:
+            store.fold_metrics(
+                spec.fingerprint(),
+                registered=stats.total,
+                skipped=stats.skipped,
+                failed=0,
+                retried=0,
+                requeued=0,
             )
+        else:
+            from ..obs.config import TraceConfig
+            from ..sim import pool
+            from .worker import drain_campaign, sim_job
 
-    def on_retrying(job: CampaignJob, attempt: int) -> None:
-        stats.retried += 1
-
-    def on_requeued(count: int) -> None:
-        stats.requeued += count
-
-    def on_foreign(job: CampaignJob, status: str) -> None:
-        # A peer worker (another `campaign work` process on this store)
-        # finished the job while we drained: done is done — count it
-        # with the cells that were already stored.
-        stats.skipped += 1
-
-    drain_campaign(
-        spec,
-        store,
-        keys=[job.key for job in to_run],
-        worker_id=worker_id,
-        jobs=workers,
-        lease_s=lease_s,
-        heartbeat_s=heartbeat_s,
-        retries=retries,
-        backoff_s=backoff_s,
-        job_timeout_s=job_timeout_s,
-        chaos=chaos,
-        trace=trace,
-        cache_dir=cache_dir,
-        on_done=on_done,
-        on_failed=on_failed,
-        on_retrying=on_retrying,
-        on_requeued=on_requeued,
-        on_foreign=on_foreign,
-    )
+            trace = TraceConfig.from_env() or TraceConfig()
+            cache_dir = str(default_cache_dir()) if cache_enabled() else None
+            if chaos is not None and cache_dir is not None:
+                # Corrupt selected cache entries up front so the
+                # quarantine + recompute path runs under this campaign,
+                # not a later one.
+                chaos.corrupt_cache(DiskCache(cache_dir))
+            if workers > 1:
+                pool.warm_baselines(
+                    [sim_job(job, trace, cache_dir) for job in to_run], workers
+                )
+            drained = drain_campaign(
+                spec,
+                store,
+                keys=[job.key for job in to_run],
+                stored=stats.skipped,
+                probe=probe,
+                worker_id=worker_id,
+                jobs=workers,
+                lease_s=lease_s,
+                heartbeat_s=heartbeat_s,
+                retries=retries,
+                backoff_s=backoff_s,
+                job_timeout_s=job_timeout_s,
+                chaos=chaos,
+                trace=trace,
+                cache_dir=cache_dir,
+            )
+            stats.ran = drained.completed
+            stats.failed = drained.failed
+            stats.retried = drained.retried
+            stats.requeued = drained.requeued
+            # Jobs a peer worker (another `campaign work` process on this
+            # store) finished while we drained: done is done — count them
+            # with the cells that were already stored.
+            stats.skipped += drained.foreign_done
     if probe is not None:
         probe.emit(
             stats.skipped + stats.ran,
@@ -266,21 +215,7 @@ def run_campaign(
             failed=stats.failed,
             skipped=stats.skipped,
         )
-    _finalize_metrics(spec, store, stats)
     return stats
-
-
-def _finalize_metrics(spec: CampaignSpec, store: ResultStore, stats: RunStats) -> None:
-    """Fold this run's counters into the registry and the campaign row."""
-    registry = metrics_from_env()
-    if registry is None:
-        return
-    registry.counter("campaign.jobs_registered").inc(stats.total)
-    registry.counter("campaign.jobs_skipped").inc(stats.skipped)
-    registry.counter("campaign.jobs_failed").inc(stats.failed)
-    registry.counter("campaign.jobs_retried").inc(stats.retried)
-    registry.counter("campaign.jobs_requeued").inc(stats.requeued)
-    store.merge_metrics(spec.fingerprint(), collect_process_metrics().snapshot())
 
 
 def run_and_collect(

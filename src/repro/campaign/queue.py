@@ -24,17 +24,16 @@ single campaign without losing or duplicating a result:
   double-commit: its token is stale, the commit is rejected, and the
   result recorded by the reclaiming worker stands.
 
-Everything here goes through the store's connection (WAL +
-``busy_timeout`` already configured) and tolerates transient
-``OperationalError`` — including chaos-injected ones — with jittered
-capped backoff.
+Every step is one :meth:`ResultStore.transaction` on the store's
+connection (WAL + ``busy_timeout`` already configured), which takes the
+write lock up front and retries transient ``OperationalError`` —
+including chaos-injected ones — with jittered capped backoff.
 """
 
 from __future__ import annotations
 
 import logging
 import os
-import random
 import sqlite3
 import time
 import uuid
@@ -70,9 +69,6 @@ QUEUE_STATS = {
 }
 
 _DEFAULT_LEASE_S = 30.0
-_TXN_RETRIES = 4
-_TXN_BACKOFF_S = 0.05
-_TXN_BACKOFF_MAX_S = 1.0
 _CHUNK = 500
 # First chunk of a bounded claim: enough to step over a few leased or
 # done keys without reading the whole list.
@@ -128,41 +124,6 @@ class LeaseQueue:
         self.worker_id = worker_id or _worker_id()
         self.lease_s = lease_s if lease_s is not None else default_lease_s()
         self._clock = clock
-
-    # -- transaction plumbing -------------------------------------------------
-    def _txn(self, key: str, fn):
-        """Run ``fn(conn)`` inside ``BEGIN IMMEDIATE``; retry transient
-        ``OperationalError`` (lock contention, chaos injection) with
-        jittered capped backoff, then re-raise."""
-        conn = self.store._conn
-        chaos = self.store.chaos
-        for attempt in range(_TXN_RETRIES + 1):
-            try:
-                if chaos is not None:
-                    chaos.sqlite_hiccup(key)
-                if conn.in_transaction:  # pragma: no cover - defensive
-                    conn.commit()
-                conn.execute("BEGIN IMMEDIATE")
-                try:
-                    out = fn(conn)
-                except BaseException:
-                    if conn.in_transaction:
-                        conn.execute("ROLLBACK")
-                    raise
-                conn.execute("COMMIT")
-                return out
-            except sqlite3.OperationalError as exc:
-                if attempt >= _TXN_RETRIES:
-                    raise
-                delay = min(_TXN_BACKOFF_S * (2**attempt), _TXN_BACKOFF_MAX_S)
-                delay *= 0.5 + random.random() * 0.5
-                logger.warning(
-                    "queue txn for %s hit %s; retrying in %.2fs",
-                    key[:12],
-                    exc,
-                    delay,
-                )
-                time.sleep(delay)
 
     def _fenced_row(self, conn, lease: Lease):
         row = conn.execute(
@@ -273,7 +234,7 @@ class LeaseQueue:
                 leases.extend(taken)
             return leases
 
-        return self._txn("claim", fn)
+        return self.store.transaction("claim", fn)
 
     def claim_next(self, keys: Sequence[str]) -> Lease | None:
         """Claim the first runnable job in ``keys`` order (see
@@ -319,7 +280,7 @@ class LeaseQueue:
             QUEUE_STATS["leases_renewed"] += 1
             return replace(lease, deadline=deadline)
 
-        return self._txn(lease.key, fn)
+        return self.store.transaction(lease.key, fn)
 
     def complete(
         self,
@@ -370,7 +331,7 @@ class LeaseQueue:
             conn.execute("DELETE FROM leases WHERE key = ?", (lease.key,))
             return True
 
-        return self._txn(lease.key, fn)
+        return self.store.transaction(lease.key, fn)
 
     def fail(self, lease: Lease, error: str) -> bool:
         """Fenced failure record (job stays retryable on future resumes)."""
@@ -387,7 +348,7 @@ class LeaseQueue:
             conn.execute("DELETE FROM leases WHERE key = ?", (lease.key,))
             return True
 
-        return self._txn(lease.key, fn)
+        return self.store.transaction(lease.key, fn)
 
     def release(self, lease: Lease) -> bool:
         """Fenced release without touching job status (requeue path)."""
@@ -398,7 +359,7 @@ class LeaseQueue:
             conn.execute("DELETE FROM leases WHERE key = ?", (lease.key,))
             return True
 
-        return self._txn(lease.key, fn)
+        return self.store.transaction(lease.key, fn)
 
     def reclaim_expired(self) -> list[str]:
         """Delete every expired lease in the store (any campaign) and
@@ -415,4 +376,4 @@ class LeaseQueue:
             self._reclaim_rows(conn, rows)
             return [row["key"] for row in rows]
 
-        return self._txn("reclaim", fn)
+        return self.store.transaction("reclaim", fn)

@@ -34,6 +34,7 @@ from ..experiments.paper_values import TABLE4
 from ..metrics.summary import WorkloadResult, geomean
 from .spec import CampaignSpec
 from .store import ResultStore
+from .watch import jobs_line, watch_counts
 
 __all__ = [
     "campaign_report",
@@ -55,45 +56,25 @@ def status_report(
 ) -> str:
     """Lifecycle counts for one campaign (registers nothing, runs nothing).
 
-    Counts come from the expanded grid's job keys, not the campaign
-    foreign key, so cells shared with another campaign (same content
-    hash) are counted as done here too.  In-flight work is its own
-    bucket: jobs under a live work-queue lease render as ``leased`` with
-    the holding worker and lease age instead of being lumped into
-    ``pending`` (with no leases the output is byte-identical to the
-    pre-queue format — the resume byte-identity tests rely on that).
-    ``now`` pins the clock the lease ages are rendered against.
+    The counts are :func:`~repro.campaign.watch.watch_counts`, the ones
+    ``campaign watch`` shows.  In-flight
+    work is its own bucket: jobs under a live work-queue lease render as
+    ``leased`` with the holding worker and lease age instead of being
+    lumped into ``pending`` (with no leases the output is byte-identical
+    to the pre-queue format — the resume byte-identity tests rely on
+    that).  ``now`` pins the clock the lease ages are rendered against.
     """
     if now is None:
         now = time.time()
     fingerprint = spec.fingerprint()
     grid = spec.expand()
-    statuses = store.statuses(job.key for job in grid)
-    done = sum(1 for s in statuses.values() if s == "done")
-    failed = sum(1 for s in statuses.values() if s == "failed")
-    pending = len(grid) - done - failed
-    leases = store.leases_for((job.key for job in grid), now=now)
-    live = {
-        key: lease
-        for key, lease in leases.items()
-        if not lease["expired"] and statuses.get(key) != "done"
-    }
-    expired = sum(1 for lease in leases.values() if lease["expired"])
-    reclaimed = store.reclaim_count(fingerprint)
-    jobs_line = (
-        f"  jobs: {done}/{len(grid)} done, {pending - len(live)} pending, "
-        f"{failed} failed"
-    )
-    if live:
-        jobs_line += f", {len(live)} leased"
-    if expired or reclaimed:
-        jobs_line += f" ({expired} leases expired, {reclaimed} reclaimed)"
+    counts = watch_counts(spec, store, now=now)
+    statuses = counts["statuses"]
     lines = [
         f"campaign {spec.name!r} (fingerprint {fingerprint[:12]})",
-        jobs_line,
+        jobs_line(counts),
     ]
-    for key in sorted(live):
-        lease = live[key]
+    for key, lease in sorted(counts["live"].items()):
         lines.append(
             f"  leased {key[:16]}: worker {lease['worker_id']}, "
             f"age {max(0.0, now - lease['claimed_at']):.0f}s, "

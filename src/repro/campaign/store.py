@@ -34,7 +34,7 @@ import random
 import sqlite3
 import time
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence, TypeVar
 
 from ..envknobs import read_float
 from ..sim.diskcache import cache_enabled, default_cache_dir
@@ -46,6 +46,8 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["ResultStore", "SCHEMA_VERSION", "STORE_STATS", "default_db_path"]
 
 logger = logging.getLogger(__name__)
+
+T = TypeVar("T")
 
 SCHEMA_VERSION = 4
 
@@ -59,10 +61,14 @@ STORE_STATS = {"commit_retries": 0}
 
 # Transient-commit retry policy: SQLite raises OperationalError for lock
 # contention ("database is locked") — and chaos injection mimics exactly
-# that — so result commits back off and retry before giving up.
+# that — so every write transaction (:meth:`ResultStore.transaction`)
+# backs off and retries before giving up.
 _COMMIT_RETRIES = 4
 _COMMIT_BACKOFF_S = 0.05
 _COMMIT_BACKOFF_MAX_S = 1.0
+
+# Keys per ``IN (...)`` query: below SQLite's bound-parameter limit.
+_CHUNK = 500
 
 # Forward migrations: version -> SQL applied to reach it from version-1.
 # Version 1 is the base schema; later entries must only ever be appended.
@@ -337,32 +343,51 @@ class ResultStore:
             return conn.total_changes - before
 
     # -- job lifecycle -------------------------------------------------------
+    def _rows_for(self, keys: Iterable[str], sql: str) -> Iterator[sqlite3.Row]:
+        """The rows of ``sql`` for ``keys``, :data:`_CHUNK` keys per query;
+        ``sql`` names the key list ``{marks}``."""
+        keys = list(keys)
+        for start in range(0, len(keys), _CHUNK):
+            chunk = keys[start : start + _CHUNK]
+            yield from self._conn.execute(
+                sql.format(marks=",".join("?" * len(chunk))), chunk
+            )
+
     def statuses(self, keys: Iterable[str]) -> dict[str, str]:
         """Status by job key (absent keys are simply missing)."""
-        out: dict[str, str] = {}
-        keys = list(keys)
-        for start in range(0, len(keys), 500):
-            chunk = keys[start : start + 500]
-            marks = ",".join("?" * len(chunk))
-            for row in self._conn.execute(
-                f"SELECT key, status FROM jobs WHERE key IN ({marks})", chunk
-            ):
-                out[row["key"]] = row["status"]
-        return out
+        return {
+            row["key"]: row["status"]
+            for row in self._rows_for(
+                keys, "SELECT key, status FROM jobs WHERE key IN ({marks})"
+            )
+        }
 
-    def _commit_with_retry(self, key: str, sql: str, params: tuple) -> None:
-        """One-row commit resilient to transient ``OperationalError``
-        (lock contention under concurrent workers, chaos injection):
-        capped exponential backoff with jitter — so N workers that
-        collide on the same lock don't retry in lockstep — then
-        re-raise."""
+    def transaction(self, key: str, fn: Callable[[sqlite3.Connection], T]) -> T:
+        """Run ``fn(conn)`` inside one ``BEGIN IMMEDIATE`` transaction and
+        return its result.
+
+        Transient ``OperationalError`` (lock contention under concurrent
+        workers, chaos injection keyed by ``key``) is retried with capped
+        exponential backoff and jitter — so N workers that collide on the
+        same lock don't retry in lockstep — then re-raised.  Any other
+        error rolls the transaction back and propagates at once.
+        """
+        conn = self._conn
         for attempt in range(_COMMIT_RETRIES + 1):
             try:
                 if self.chaos is not None:
                     self.chaos.sqlite_hiccup(key)
-                with self._conn:
-                    self._conn.execute(sql, params)
-                return
+                if conn.in_transaction:  # pragma: no cover - defensive
+                    conn.commit()
+                conn.execute("BEGIN IMMEDIATE")
+                try:
+                    out = fn(conn)
+                except BaseException:
+                    if conn.in_transaction:
+                        conn.execute("ROLLBACK")
+                    raise
+                conn.execute("COMMIT")
+                return out
             except sqlite3.OperationalError as exc:
                 if attempt >= _COMMIT_RETRIES:
                     raise
@@ -372,12 +397,16 @@ class ResultStore:
                 )
                 delay *= 0.5 + random.random() * 0.5
                 logger.warning(
-                    "store commit for %s hit %s; retrying in %.2fs",
+                    "store transaction for %s hit %s; retrying in %.2fs",
                     key[:12],
                     exc,
                     delay,
                 )
                 time.sleep(delay)
+
+    def _commit(self, key: str, sql: str, params: tuple) -> None:
+        """One statement in its own retried transaction."""
+        self.transaction(key, lambda conn: conn.execute(sql, params))
 
     # -- progress (schema v3) ------------------------------------------------
     def record_progress(
@@ -397,7 +426,7 @@ class ResultStore:
         :func:`repro.obs.metrics.job_metrics`; wall time and throughput
         are worker-measured and explicitly non-deterministic.
         """
-        self._commit_with_retry(
+        self._commit(
             key,
             PROGRESS_UPSERT,
             progress_params(
@@ -414,30 +443,26 @@ class ResultStore:
     def progress_for(self, keys: Iterable[str]) -> dict[str, dict]:
         """Latest-attempt progress row per job key (absent keys missing)."""
         out: dict[str, dict] = {}
-        keys = list(keys)
-        for start in range(0, len(keys), 500):
-            chunk = keys[start : start + 500]
-            marks = ",".join("?" * len(chunk))
-            for row in self._conn.execute(
-                f"SELECT * FROM progress WHERE key IN ({marks})", chunk
-            ):
-                prev = out.get(row["key"])
-                if prev is not None and prev["attempt"] >= row["attempt"]:
-                    continue
-                out[row["key"]] = {
-                    "key": row["key"],
-                    "attempt": int(row["attempt"]),
-                    "worker": row["worker"],
-                    "status": row["status"],
-                    "wall_time_s": row["wall_time_s"],
-                    "events_per_sec": row["events_per_sec"],
-                    "metrics": (
-                        json.loads(row["metrics_json"])
-                        if row["metrics_json"] is not None
-                        else None
-                    ),
-                    "updated_at": row["updated_at"],
-                }
+        for row in self._rows_for(
+            keys, "SELECT * FROM progress WHERE key IN ({marks})"
+        ):
+            prev = out.get(row["key"])
+            if prev is not None and prev["attempt"] >= row["attempt"]:
+                continue
+            out[row["key"]] = {
+                "key": row["key"],
+                "attempt": int(row["attempt"]),
+                "worker": row["worker"],
+                "status": row["status"],
+                "wall_time_s": row["wall_time_s"],
+                "events_per_sec": row["events_per_sec"],
+                "metrics": (
+                    json.loads(row["metrics_json"])
+                    if row["metrics_json"] is not None
+                    else None
+                ),
+                "updated_at": row["updated_at"],
+            }
         return out
 
     # -- manifests and campaign metrics (schema v3) ---------------------------
@@ -445,7 +470,7 @@ class ResultStore:
         """Pin the run manifest of a campaign (overwritten each run; the
         manifest is a pure function of spec + environment, so a resume
         under the same knobs writes the same bytes)."""
-        self._commit_with_retry(
+        self._commit(
             fingerprint,
             "UPDATE campaigns SET manifest_json = ? WHERE fingerprint = ?",
             (json.dumps(manifest, sort_keys=True), fingerprint),
@@ -460,22 +485,42 @@ class ResultStore:
             return None
         return json.loads(row["manifest_json"])
 
-    def merge_metrics(self, fingerprint: str, snapshot: dict) -> None:
-        """Fold one process's operational-metrics snapshot into the
-        campaign's stored snapshot (counters sum, gauges max, histograms
-        bucket-wise — see :class:`repro.obs.metrics.MetricsRegistry`)."""
-        from ..obs.metrics import MetricsRegistry
+    def fold_metrics(self, fingerprint: str, **jobs: int) -> None:
+        """Fold this process's operational counters into the campaign's
+        stored snapshot, once per run.
 
-        existing = self.metrics(fingerprint)
-        registry = MetricsRegistry()
-        if existing is not None:
-            registry.merge(existing)
-        registry.merge(snapshot)
-        self._commit_with_retry(
-            fingerprint,
-            "UPDATE campaigns SET metrics_json = ? WHERE fingerprint = ?",
-            (json.dumps(registry.snapshot(), sort_keys=True), fingerprint),
+        ``jobs`` are the run's job counts; each ``name=n`` is first added
+        to the process registry as ``campaign.jobs_<name>``.  The merge
+        (counters sum, gauges max, histograms bucket-wise — see
+        :class:`repro.obs.metrics.MetricsRegistry`) reads and rewrites the
+        row in one transaction, so workers finishing together lose no
+        update.  Nothing is recorded under ``REPRO_METRICS=0``.
+        """
+        from ..obs.metrics import (
+            MetricsRegistry,
+            collect_process_metrics,
+            metrics_from_env,
         )
+
+        registry = metrics_from_env()
+        if registry is None:
+            return
+        for name, count in jobs.items():
+            registry.counter(f"campaign.jobs_{name}").inc(count)
+        snapshot = collect_process_metrics().snapshot()
+
+        def merge(conn: sqlite3.Connection) -> None:
+            merged = MetricsRegistry()
+            existing = self.metrics(fingerprint)
+            if existing is not None:
+                merged.merge(existing)
+            merged.merge(snapshot)
+            conn.execute(
+                "UPDATE campaigns SET metrics_json = ? WHERE fingerprint = ?",
+                (json.dumps(merged.snapshot(), sort_keys=True), fingerprint),
+            )
+
+        self.transaction(fingerprint, merge)
 
     def metrics(self, fingerprint: str) -> dict | None:
         """The campaign's merged operational-metrics snapshot, if any."""
@@ -499,25 +544,21 @@ class ResultStore:
         """
         if now is None:
             now = time.time()
-        out: dict[str, dict] = {}
-        keys = list(keys)
-        for start in range(0, len(keys), 500):
-            chunk = keys[start : start + 500]
-            marks = ",".join("?" * len(chunk))
-            for row in self._conn.execute(
-                f"SELECT * FROM leases WHERE key IN ({marks})", chunk
-            ):
-                out[row["key"]] = {
-                    "key": row["key"],
-                    "campaign": row["campaign"],
-                    "worker_id": row["worker_id"],
-                    "attempt": int(row["attempt"]),
-                    "claimed_at": float(row["claimed_at"]),
-                    "heartbeat_at": float(row["heartbeat_at"]),
-                    "lease_deadline": float(row["lease_deadline"]),
-                    "expired": float(row["lease_deadline"]) <= now,
-                }
-        return out
+        return {
+            row["key"]: {
+                "key": row["key"],
+                "campaign": row["campaign"],
+                "worker_id": row["worker_id"],
+                "attempt": int(row["attempt"]),
+                "claimed_at": float(row["claimed_at"]),
+                "heartbeat_at": float(row["heartbeat_at"]),
+                "lease_deadline": float(row["lease_deadline"]),
+                "expired": float(row["lease_deadline"]) <= now,
+            }
+            for row in self._rows_for(
+                keys, "SELECT * FROM leases WHERE key IN ({marks})"
+            )
+        }
 
     def reclaim_count(self, fingerprint: str) -> int:
         """How many leases this campaign has reclaimed from dead workers."""
@@ -570,34 +611,26 @@ class ResultStore:
         hash, so identical cells are shared across campaigns)."""
         from .serde import result_from_json
 
-        out: dict[str, "WorkloadResult"] = {}
-        keys = list(keys)
-        for start in range(0, len(keys), 500):
-            chunk = keys[start : start + 500]
-            marks = ",".join("?" * len(chunk))
-            for row in self._conn.execute(
-                f"SELECT key, result_json FROM jobs "
-                f"WHERE key IN ({marks}) AND status = 'done'",
-                chunk,
-            ):
-                if row["result_json"] is not None:
-                    out[row["key"]] = result_from_json(row["result_json"])
-        return out
+        return {
+            row["key"]: result_from_json(row["result_json"])
+            for row in self._rows_for(
+                keys,
+                "SELECT key, result_json FROM jobs "
+                "WHERE key IN ({marks}) AND status = 'done'",
+            )
+            if row["result_json"] is not None
+        }
 
     def failures_for(self, keys: Iterable[str]) -> dict[str, str]:
         """Error text for specific failed job keys (cross-campaign)."""
-        out: dict[str, str] = {}
-        keys = list(keys)
-        for start in range(0, len(keys), 500):
-            chunk = keys[start : start + 500]
-            marks = ",".join("?" * len(chunk))
-            for row in self._conn.execute(
-                f"SELECT key, error FROM jobs "
-                f"WHERE key IN ({marks}) AND status = 'failed'",
-                chunk,
-            ):
-                out[row["key"]] = row["error"] or ""
-        return out
+        return {
+            row["key"]: row["error"] or ""
+            for row in self._rows_for(
+                keys,
+                "SELECT key, error FROM jobs "
+                "WHERE key IN ({marks}) AND status = 'failed'",
+            )
+        }
 
     def campaigns(self) -> list[dict]:
         """Summary row per stored campaign (for ``campaign status``)."""

@@ -32,18 +32,24 @@ from ..obs.metrics import MetricsRegistry
 from .spec import CampaignSpec
 from .store import ResultStore
 
-__all__ = ["merged_metrics", "watch_counts", "watch_report"]
+__all__ = ["jobs_line", "merged_metrics", "watch_counts", "watch_report"]
 
 # Completion-rate estimation window: the N most recent completions.
 _RATE_WINDOW = 10
 
 
-def watch_counts(spec: CampaignSpec, store: ResultStore) -> dict:
+def watch_counts(
+    spec: CampaignSpec, store: ResultStore, *, now: float | None = None
+) -> dict:
     """Lifecycle counts plus latest-attempt progress rows for one campaign.
 
     ``done``/``failed``/``pending`` come straight from the jobs table
-    (exactly what ``campaign status`` reports); ``retrying`` counts jobs
-    whose latest heartbeat is a retry and which have not yet resolved.
+    (``campaign status`` renders these same counts); ``retrying`` counts
+    jobs whose latest heartbeat is a retry and which have not yet
+    resolved.  Counts come from the expanded grid's job keys, not the
+    campaign foreign key, so cells shared with another campaign (same
+    content hash) count as done here too.  ``now`` is the clock lease
+    expiry is judged against (default: wall clock).
     """
     grid = spec.expand()
     statuses = store.statuses(job.key for job in grid)
@@ -57,12 +63,12 @@ def watch_counts(spec: CampaignSpec, store: ResultStore) -> dict:
         and (row := progress.get(job.key)) is not None
         and row["status"] == "retrying"
     )
-    leases = store.leases_for(job.key for job in grid)
-    leased = sum(
-        1
+    leases = store.leases_for((job.key for job in grid), now=now)
+    live = {
+        key: lease
         for key, lease in leases.items()
         if not lease["expired"] and statuses.get(key) != "done"
-    )
+    }
     expired = sum(1 for lease in leases.values() if lease["expired"])
     return {
         "total": len(grid),
@@ -75,7 +81,8 @@ def watch_counts(spec: CampaignSpec, store: ResultStore) -> dict:
         # leases this campaign has reclaimed from dead workers so far.
         # ``pending`` keeps its grid-minus-resolved meaning (the CLI
         # watch loop exits on it); leased jobs are a subset of pending.
-        "leased": leased,
+        "leased": len(live),
+        "live": live,
         "expired": expired,
         "reclaimed": store.reclaim_count(spec.fingerprint()),
         "leases": leases,
@@ -102,11 +109,40 @@ def _prefixed(snapshot: dict, prefix: str) -> dict:
     }
 
 
-def merged_metrics(spec: CampaignSpec, store: ResultStore) -> MetricsRegistry:
+def jobs_line(counts: dict, *, retrying: bool = False) -> str:
+    """The ``jobs:`` line of ``campaign status`` (with ``retrying``, of
+    ``campaign watch``) from :func:`watch_counts`.
+
+    Live leases render as their own bucket (and leave "pending" to mean
+    unclaimed work); with no leases the line is byte-identical to the
+    pre-queue format, which tests and CI grep as a substring.
+    """
+    line = (
+        f"  jobs: {counts['done']}/{counts['total']} done, "
+        f"{counts['pending'] - counts['leased']} pending, "
+        f"{counts['failed']} failed"
+    )
+    if retrying:
+        line += f", {counts['retrying']} retrying"
+    if counts["leased"]:
+        line += f", {counts['leased']} leased"
+    if counts["expired"] or counts["reclaimed"]:
+        line += (
+            f" ({counts['expired']} leases expired, "
+            f"{counts['reclaimed']} reclaimed)"
+        )
+    return line
+
+
+def merged_metrics(
+    spec: CampaignSpec, store: ResultStore, counts: dict | None = None
+) -> MetricsRegistry:
     """One registry holding the campaign's ``sim.*``/``ops.*``/``wall.*``
-    metrics (see the module docstring for what may be compared)."""
+    metrics (see the module docstring for what may be compared);
+    ``counts`` reuses a :func:`watch_counts` the caller already holds."""
     registry = MetricsRegistry()
-    counts = watch_counts(spec, store)
+    if counts is None:
+        counts = watch_counts(spec, store)
     for row in counts["progress"].values():
         if row["status"] != "done":
             continue
@@ -129,29 +165,19 @@ def merged_metrics(spec: CampaignSpec, store: ResultStore) -> MetricsRegistry:
 
 
 def watch_report(
-    spec: CampaignSpec, store: ResultStore, *, now: float | None = None
+    spec: CampaignSpec,
+    store: ResultStore,
+    *,
+    now: float | None = None,
+    counts: dict | None = None,
 ) -> str:
-    """One snapshot of campaign progress, rendered for a terminal."""
-    counts = watch_counts(spec, store)
-    # Live leases render as their own bucket (and leave "pending" to
-    # mean unclaimed work); with no leases the line is byte-identical to
-    # the pre-queue format, which tests and CI grep as a substring.
-    leased = counts["leased"]
-    jobs_line = (
-        f"  jobs: {counts['done']}/{counts['total']} done, "
-        f"{counts['pending'] - leased} pending, {counts['failed']} failed, "
-        f"{counts['retrying']} retrying"
-    )
-    if leased:
-        jobs_line += f", {leased} leased"
-    if counts["expired"] or counts["reclaimed"]:
-        jobs_line += (
-            f" ({counts['expired']} leases expired, "
-            f"{counts['reclaimed']} reclaimed)"
-        )
+    """One snapshot of campaign progress, rendered for a terminal;
+    ``counts`` reuses a :func:`watch_counts` the caller already holds."""
+    if counts is None:
+        counts = watch_counts(spec, store)
     lines = [
         f"campaign {spec.name!r} (fingerprint {spec.fingerprint()[:12]})",
-        jobs_line,
+        jobs_line(counts, retrying=True),
     ]
     # Rolling completion rate over the most recent heartbeat window.
     done_times = sorted(
@@ -179,7 +205,7 @@ def watch_report(
             1 for job in subset if statuses.get(job.key) == "done"
         )
         lines.append(f"    {variant}: {variant_done}/{len(subset)} done")
-    snapshot = merged_metrics(spec, store).snapshot()
+    snapshot = merged_metrics(spec, store, counts).snapshot()
     if snapshot["counters"]:
         lines.append("  metrics:")
         for name, value in snapshot["counters"].items():

@@ -5,7 +5,8 @@ protocol half lives in :mod:`repro.campaign.queue`; this module turns it
 into a drain loop that both entry points share:
 
 * the in-process path — :func:`repro.campaign.orchestrator.run_campaign`
-  delegates here, so a plain ``campaign run`` *is* a one-worker drain;
+  reads the grid's statuses once and hands its pending keys here, so a
+  plain ``campaign run`` *is* a one-worker drain;
 * the distributed path — every ``campaign work --db ...`` process runs
   this same loop against the shared store, claiming jobs the others
   haven't.
@@ -27,14 +28,21 @@ executor (:func:`repro.sim.pool.run_tasks`), which owns the pool
 generations, no-progress timeouts, respawns and the in-process fallback;
 this module supplies the fenced commit, the retry policy, lease renewal
 as the executor's beat, and the release of held leases on ``Ctrl-C``.
+
+The drain owns the run's bookkeeping for both entry points: its
+:class:`WorkerStats` is what the orchestrator's ``RunStats`` is built
+from, it logs each ``N/M done`` line and emits the ``campaign.job``
+trace events, and at the end it folds the process's counters into the
+campaign row (:meth:`ResultStore.fold_metrics`).
 """
 
 from __future__ import annotations
 
 import logging
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from ..config import baseline_system
 from ..guard.chaos import ChaosPlan
@@ -46,6 +54,9 @@ from ..sim.pool import SimJob
 from .queue import Lease, LeaseQueue, default_heartbeat_s
 from .spec import CampaignJob, CampaignSpec
 from .store import ResultStore
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..obs.trace import Probe
 
 __all__ = ["LeaseLost", "WorkerStats", "drain_campaign"]
 
@@ -80,17 +91,6 @@ class WorkerStats:
         return self.completed + self.failed
 
 
-@dataclass
-class _Callbacks:
-    """Optional notification hooks (the orchestrator's stats/probe glue)."""
-
-    on_done: Callable[[CampaignJob, WorkloadResult, float, int, str], None] | None = None
-    on_failed: Callable[[CampaignJob, BaseException, int], None] | None = None
-    on_retrying: Callable[[CampaignJob, int], None] | None = None
-    on_requeued: Callable[[int], None] | None = None
-    on_foreign: Callable[[CampaignJob, str], None] | None = None
-
-
 def sim_job(job: CampaignJob, trace: TraceConfig, cache_dir: str | None) -> SimJob:
     """The picklable pool description of one grid cell."""
     return SimJob(
@@ -117,6 +117,8 @@ class _Drain:
         store: ResultStore,
         *,
         keys: Sequence[str] | None,
+        stored: int,
+        probe: Probe | None,
         worker_id: str | None,
         jobs: int,
         lease_s: float | None,
@@ -131,7 +133,6 @@ class _Drain:
         max_jobs: int | None,
         trace: TraceConfig | None,
         cache_dir: str | None,
-        callbacks: _Callbacks,
         clock: Callable[[], float],
     ) -> None:
         self.spec = spec
@@ -163,24 +164,49 @@ class _Drain:
 
             cache_dir = str(default_cache_dir()) if cache_enabled() else None
         self.cache_dir = cache_dir
-        self.cb = callbacks
+        self.probe = probe
         self.stats = WorkerStats(worker_id=self.queue.worker_id)
 
         grid = spec.expand()
         self.by_key = {job.key: job for job in grid}
-        self.store.register(spec, grid)
-        wanted = set(keys) if keys is not None else None
-        statuses = store.statuses(job.key for job in grid)
-        self.unresolved: list[str] = [
-            job.key
-            for job in grid
-            if (wanted is None or job.key in wanted)
-            and statuses.get(job.key) != "done"
-        ]
+        self.total = len(grid)
+        if keys is None:
+            store.register(spec, grid)
+            statuses = store.statuses(self.by_key)
+            keys = [job.key for job in grid if statuses.get(job.key) != "done"]
+            stored = len(grid) - len(keys)
+        self.stored = stored
+        self.unresolved: list[str] = list(keys)
 
     # -- bookkeeping ---------------------------------------------------------
-    def _budget_left(self) -> bool:
-        return self.max_jobs is None or self.stats.resolved() < self.max_jobs
+    def _budget(self) -> int | None:
+        """How many more jobs this drain may resolve (``None``: no cap)."""
+        if self.max_jobs is None:
+            return None
+        return max(0, self.max_jobs - self.stats.resolved())
+
+    def _done(self) -> int:
+        """Grid cells done so far: stored, settled by peers, or ours."""
+        return self.stored + self.stats.foreign_done + self.stats.completed
+
+    def _report(self, key: str, status: str) -> None:
+        """One resolved job: the ``N/M done`` log line and the
+        ``campaign.job`` trace event."""
+        job = self.by_key[key]
+        if status == "done":
+            logger.info(
+                "campaign %s: %d/%d done (%s on %d cores)",
+                self.spec.name, self._done(), self.total, job.variant, job.num_cores,
+            )
+        if self.probe is not None:
+            self.probe.emit(
+                self._done(),
+                "campaign.job",
+                key=key[:16],
+                variant=job.variant,
+                cores=job.num_cores,
+                status=status,
+            )
 
     def _resolve(self, key: str) -> None:
         self.unresolved.remove(key)
@@ -198,8 +224,7 @@ class _Drain:
             if registry is not None:
                 registry.counter("campaign.jobs_ran").inc()
                 registry.histogram("campaign.job_wall_s").observe(wall)
-            if self.cb.on_done is not None:
-                self.cb.on_done(self.by_key[lease.key], result, wall, attempt, str(pid))
+            self._report(lease.key, "done")
             self._resolve(lease.key)
             return True
         self.stats.fenced += 1
@@ -225,8 +250,7 @@ class _Drain:
             lease.key[:16],
             error,
         )
-        if self.cb.on_failed is not None:
-            self.cb.on_failed(self.by_key[lease.key], error, attempt)
+        self._report(lease.key, "failed")
         self._resolve(lease.key)
 
     def _after_error(
@@ -240,8 +264,6 @@ class _Drain:
             return None
         self.stats.retried += 1
         self.store.record_progress(lease.key, attempt, None, "retrying")
-        if self.cb.on_retrying is not None:
-            self.cb.on_retrying(self.by_key[lease.key], attempt)
         time.sleep(min(self.backoff_s * (2**attempt), _MAX_BACKOFF_S))
         # The lease may be near expiry after the backoff; a fenced
         # renewal here means the job is no longer ours to retry.
@@ -259,8 +281,6 @@ class _Drain:
             if statuses.get(key) == "done":
                 self.stats.foreign_done += 1
                 self._resolve(key)
-                if self.cb.on_foreign is not None:
-                    self.cb.on_foreign(self.by_key[key], "done")
 
     def _reclaim(self) -> None:
         reclaimed = self.queue.reclaim_expired()
@@ -334,10 +354,11 @@ class _Drain:
 
     # -- the drain loop ---------------------------------------------------------
     def _claim(self, pooled: bool) -> dict[str, Lease]:
-        """Claim runnable jobs in grid order: every one of them in one
-        transaction for the pool drain, the next one for the serial drain."""
+        """Claim runnable jobs in grid order: as many as the budget allows
+        in one transaction for the pool drain, the next one for the
+        serial drain."""
         if pooled:
-            leases = self.queue.claim(self.unresolved)
+            leases = self.queue.claim(self.unresolved, self._budget())
         else:
             lease = self.queue.claim_next(self.unresolved)
             leases = [lease] if lease is not None else []
@@ -346,9 +367,11 @@ class _Drain:
         return {lease.key: lease for lease in leases}
 
     def run(self) -> WorkerStats:
-        pooled = self.jobs > 1 and len(self.unresolved) > 1
+        budget = self._budget()
+        work = len(self.unresolved)
+        pooled = self.jobs > 1 and (work if budget is None else min(budget, work)) > 1
         idle_logged = False
-        while self.unresolved and self._budget_left():
+        while self.unresolved and self._budget() != 0:
             self._reclaim()
             self._settle_foreign()
             if not self.unresolved:
@@ -414,8 +437,6 @@ class _Drain:
             # Drop anything whose lease was lost while the pool was broken.
             keys = [key for key in keys if key in held]
             self.stats.requeued += len(keys)
-            if self.cb.on_requeued is not None:
-                self.cb.on_requeued(len(keys))
             return keys
 
         def renew() -> None:
@@ -472,6 +493,8 @@ def drain_campaign(
     store: ResultStore,
     *,
     keys: Sequence[str] | None = None,
+    stored: int = 0,
+    probe: Probe | None = None,
     worker_id: str | None = None,
     jobs: int = 1,
     lease_s: float | None = None,
@@ -486,50 +509,61 @@ def drain_campaign(
     max_jobs: int | None = None,
     trace: TraceConfig | None = None,
     cache_dir: str | None = "auto",
-    on_done=None,
-    on_failed=None,
-    on_retrying=None,
-    on_requeued=None,
-    on_foreign=None,
     clock: Callable[[], float] = time.time,
 ) -> WorkerStats:
     """Drain ``spec``'s runnable jobs from ``store`` as one worker.
 
-    ``keys`` restricts the drain to a subset of the grid (the
-    orchestrator's ``--limit`` path); ``jobs`` fans execution over a
-    local process pool while claims/heartbeats/commits stay in this
-    process.  ``hard_kill`` marks a top-level ``campaign work`` process:
-    chaos ``leasekill`` faults exit hard (leaving the lease to expire)
-    instead of raising.  ``wait_for_peers=False`` returns as soon as
-    every remaining job is leased to a live peer instead of polling
-    until they settle.  ``max_jobs`` bounds how many jobs this call
-    resolves locally (tests and smoke runs).
+    Without ``keys`` the drain registers the grid and reads its statuses
+    itself (``campaign work``).  ``keys`` hands it the runnable jobs, in
+    grid order, that the caller just read from the store
+    (:func:`~repro.campaign.orchestrator.run_campaign`, after
+    ``--limit``), with ``stored`` the count of grid cells already done;
+    the drain trusts both and reads no statuses up front.  ``probe``
+    receives one ``campaign.job`` event per resolved job.
+
+    ``jobs`` fans execution over a local process pool while
+    claims/heartbeats/commits stay in this process.  ``chaos`` is
+    exported to ``REPRO_CHAOS`` for the drain and set on the store.
+    ``hard_kill`` marks a top-level ``campaign work`` process: chaos
+    ``leasekill`` faults exit hard (leaving the lease to expire) instead
+    of raising.  ``wait_for_peers=False`` returns as soon as every
+    remaining job is leased to a live peer instead of polling until they
+    settle.  ``max_jobs`` bounds how many jobs this call resolves
+    locally, serial or pooled.  A drain that returns folds this
+    process's counters into the campaign row.
     """
-    drain = _Drain(
-        spec,
-        store,
-        keys=keys,
-        worker_id=worker_id,
-        jobs=jobs,
-        lease_s=lease_s,
-        heartbeat_s=heartbeat_s,
-        poll_s=poll_s,
-        retries=retries,
-        backoff_s=backoff_s,
-        job_timeout_s=job_timeout_s,
-        chaos=chaos,
-        hard_kill=hard_kill,
-        wait_for_peers=wait_for_peers,
-        max_jobs=max_jobs,
-        trace=trace,
-        cache_dir=cache_dir,
-        callbacks=_Callbacks(
-            on_done=on_done,
-            on_failed=on_failed,
-            on_retrying=on_retrying,
-            on_requeued=on_requeued,
-            on_foreign=on_foreign,
-        ),
-        clock=clock,
+    if chaos is not None:
+        store.chaos = chaos
+    with chaos.exported() if chaos is not None else nullcontext():
+        drain = _Drain(
+            spec,
+            store,
+            keys=keys,
+            stored=stored,
+            probe=probe,
+            worker_id=worker_id,
+            jobs=jobs,
+            lease_s=lease_s,
+            heartbeat_s=heartbeat_s,
+            poll_s=poll_s,
+            retries=retries,
+            backoff_s=backoff_s,
+            job_timeout_s=job_timeout_s,
+            chaos=chaos,
+            hard_kill=hard_kill,
+            wait_for_peers=wait_for_peers,
+            max_jobs=max_jobs,
+            trace=trace,
+            cache_dir=cache_dir,
+            clock=clock,
+        )
+        stats = drain.run()
+    store.fold_metrics(
+        spec.fingerprint(),
+        registered=drain.total,
+        skipped=drain.stored + stats.foreign_done,
+        failed=stats.failed,
+        retried=stats.retried,
+        requeued=stats.requeued,
     )
-    return drain.run()
+    return stats

@@ -22,8 +22,8 @@ Plan specs are comma-separated ``key=value`` strings, e.g.::
 
 accepted by ``--chaos`` on the campaign CLI or the ``REPRO_CHAOS``
 environment knob.  ``dir`` names the marker directory; when omitted,
-:meth:`ChaosPlan.parse` creates a fresh temporary one (the CLI re-exports
-the resolved spec so all workers share it).
+:meth:`ChaosPlan.parse` creates a fresh temporary one, and a run exports
+the resolved spec (:meth:`ChaosPlan.exported`) so all workers share it.
 """
 
 from __future__ import annotations
@@ -34,9 +34,10 @@ import multiprocessing
 import os
 import tempfile
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 from ..envknobs import EnvKnobError
 
@@ -160,6 +161,25 @@ class ChaosPlan:
         parts.append(f"seed={self.seed}")
         parts.append(f"dir={self.dir}")
         return ",".join(parts)
+
+    @contextmanager
+    def exported(self) -> Iterator[None]:
+        """Export this plan to ``REPRO_CHAOS`` for the duration of a run.
+
+        Jobs resolve the plan from the environment (that is how pool
+        workers see it), so the resolved spec — marker dir pinned — must
+        be exported for them to share its once-only markers.  The
+        previous value is restored afterwards; nesting is harmless.
+        """
+        saved = os.environ.get("REPRO_CHAOS")
+        os.environ["REPRO_CHAOS"] = self.spec()
+        try:
+            yield
+        finally:
+            if saved is None:
+                os.environ.pop("REPRO_CHAOS", None)
+            else:
+                os.environ["REPRO_CHAOS"] = saved
 
     # -- decision machinery ------------------------------------------------
     def _decide(self, kind: str, key: str) -> bool:

@@ -59,8 +59,9 @@ __all__ = [
 ]
 
 # Every event category the simulator emits; ``--trace-events`` selects a
-# subset of these.  ``campaign`` events come from the campaign
-# orchestrator (job lifecycle), not from inside a simulation.
+# subset of these.  ``campaign`` events come from the campaign layer (the
+# run's start and end, and each job the drain resolves), not from inside
+# a simulation.
 CATEGORIES = ("request", "dram", "batch", "sched", "core", "sample", "campaign")
 
 

@@ -6,11 +6,13 @@ job counter), store row counts correct at every step, and the final
 report byte-identical to an uninterrupted run's.
 """
 
+from pathlib import Path
+
 import pytest
 
 from repro.campaign.orchestrator import run_and_collect, run_campaign
 from repro.campaign.report import campaign_report, export_text, status_report
-from repro.campaign.spec import CampaignSpec, Variant
+from repro.campaign.spec import CampaignSpec, Variant, load_spec
 from repro.campaign.store import ResultStore
 from repro.config import baseline_system
 from repro.obs.trace import RingBufferSink, Tracer
@@ -165,6 +167,32 @@ def test_campaign_probe_events(tmp_path):
     assert events[0] == "campaign.start"
     assert events[-1] == "campaign.done"
     assert "campaign.job" in events
+
+
+@pytest.mark.parametrize("jobs, parent_reads", [(1, 7), (2, 4)])
+def test_run_registers_and_reads_the_grid_once(
+    tmp_path, monkeypatch, jobs, parent_reads
+):
+    """One run registers the grid and reads its statuses once; the drain
+    trusts the pending keys it is handed and re-reads statuses only to
+    settle jobs a peer finished (once per claim).  ``parent_reads`` is
+    what a run took when the drain registered and read the grid again."""
+    spec = load_spec(Path(__file__).parents[1] / "examples" / "campaign_smoke.toml")
+    calls = dict.fromkeys(("register", "statuses"), 0)
+    for name in calls:
+
+        def counted(self, *args, _real=getattr(ResultStore, name), _name=name):
+            calls[_name] += 1
+            return _real(self, *args)
+
+        monkeypatch.setattr(ResultStore, name, counted)
+    with ResultStore(tmp_path / "db.sqlite") as store:
+        stats = run_campaign(spec, store, jobs=jobs)
+    assert stats.summary_line(spec.name) == (
+        "campaign smoke: total=4 ran=4 skipped=0 failed=0 deferred=0"
+    )
+    assert calls["register"] == 1
+    assert calls["statuses"] < parent_reads
 
 
 def test_aggregate_via_campaign_matches_direct_run_many(tmp_path):

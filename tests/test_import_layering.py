@@ -26,6 +26,7 @@ CONTROL = (
     "repro/campaign/store.py",
     "repro/campaign/queue.py",
     "repro/campaign/report.py",
+    "repro/campaign/watch.py",
     "repro/campaign/manifest.py",
     "repro/campaign/orchestrator.py",
     "repro/obs/metrics.py",

@@ -252,3 +252,37 @@ def test_pool_drain_claims_in_one_batch_and_merges_sim_totals(tmp_path, golden):
         merged, expected = _sim_totals(spec, store)
         assert merged == expected and merged
         assert export_text(spec, store, fmt="csv") == golden
+
+
+def test_max_jobs_caps_the_pool_drain(tmp_path):
+    """``max_jobs`` bounds a pool drain as it bounds a serial one: the
+    batch claim takes only the remaining budget."""
+    spec = _spec()
+    keys = [job.key for job in spec.expand()]
+    with ResultStore(tmp_path / "cap.sqlite") as store:
+        stats = drain_campaign(spec, store, worker_id="capped", jobs=2, max_jobs=1)
+        assert (stats.claimed, stats.resolved()) == (1, 1)
+        assert list(store.statuses(keys).values()).count("done") == 1
+        assert store.leases_for(keys) == {}
+
+
+def test_each_drain_folds_its_counters_into_the_campaign_row(tmp_path, monkeypatch):
+    """A drain that returns folds its process's counters into the
+    campaign row, so ``campaign work`` records them as ``campaign run``
+    does and the row sums every worker's claims.  Each drain stands for
+    one worker process, whose counters start at zero."""
+    from repro.campaign.queue import QUEUE_STATS
+
+    spec = _spec()
+    claimed = []
+    with ResultStore(tmp_path / "fold.sqlite") as store:
+        for worker_id, max_jobs in (("a", 1), ("b", None)):
+            for name in QUEUE_STATS:
+                monkeypatch.setitem(QUEUE_STATS, name, 0)
+            stats = drain_campaign(
+                spec, store, worker_id=worker_id, max_jobs=max_jobs
+            )
+            claimed.append(stats.claimed)
+        counters = store.metrics(spec.fingerprint())["counters"]
+    assert claimed == [1, len(spec.expand()) - 1]
+    assert counters["worker.leases_claimed"] == len(spec.expand())
