@@ -39,6 +39,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from ..envknobs import default_job_timeout, default_jobs
+from ..obs.metrics import run_metrics
 from ..sim.diskcache import DiskCache, cache_enabled, default_cache_dir
 from .manifest import build_manifest
 from .spec import CampaignSpec
@@ -124,6 +125,7 @@ def run_campaign(
     # The manifest records REPRO_CHAOS, so the resolved plan is exported
     # before it is built, and for the rest of the run.
     with chaos.exported() if chaos is not None else nullcontext():
+        metrics = run_metrics()
         grid = spec.expand()
         store.register(spec, grid)
         # Pin the run manifest up front: provenance must survive even a
@@ -160,6 +162,7 @@ def run_campaign(
         if not to_run:
             store.fold_metrics(
                 spec.fingerprint(),
+                metrics,
                 registered=stats.total,
                 skipped=stats.skipped,
                 failed=0,
@@ -198,6 +201,7 @@ def run_campaign(
                 chaos=chaos,
                 trace=trace,
                 cache_dir=cache_dir,
+                metrics=metrics,
             )
             stats.ran = drained.completed
             stats.failed = drained.failed

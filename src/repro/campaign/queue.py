@@ -36,7 +36,6 @@ import logging
 import os
 import sqlite3
 import time
-import uuid
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -104,7 +103,7 @@ class Lease:
 
 
 def _worker_id() -> str:
-    return f"{os.uname().nodename}:{os.getpid()}:{uuid.uuid4().hex[:6]}"
+    return f"{os.uname().nodename}:{os.getpid()}:{os.urandom(3).hex()}"
 
 
 class LeaseQueue:

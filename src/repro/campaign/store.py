@@ -42,6 +42,7 @@ from .spec import CampaignJob, CampaignSpec
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..metrics.summary import WorkloadResult
+    from ..obs.metrics import RunMetrics
 
 __all__ = ["ResultStore", "SCHEMA_VERSION", "STORE_STATS", "default_db_path"]
 
@@ -485,29 +486,28 @@ class ResultStore:
             return None
         return json.loads(row["manifest_json"])
 
-    def fold_metrics(self, fingerprint: str, **jobs: int) -> None:
-        """Fold this process's operational counters into the campaign's
-        stored snapshot, once per run.
+    def fold_metrics(
+        self, fingerprint: str, run: RunMetrics | None, **jobs: int
+    ) -> None:
+        """Fold one run's operational metrics into the campaign's stored
+        snapshot, once per run.
 
-        ``jobs`` are the run's job counts; each ``name=n`` is first added
-        to the process registry as ``campaign.jobs_<name>``.  The merge
-        (counters sum, gauges max, histograms bucket-wise — see
+        ``run`` holds what the run counted since it started (see
+        :class:`repro.obs.metrics.RunMetrics`); ``jobs`` are its job
+        counts, each ``name=n`` recorded as ``campaign.jobs_<name>``.  The
+        merge (counters sum, gauges max, histograms bucket-wise — see
         :class:`repro.obs.metrics.MetricsRegistry`) reads and rewrites the
         row in one transaction, so workers finishing together lose no
-        update.  Nothing is recorded under ``REPRO_METRICS=0``.
+        update.  Nothing is recorded without ``run`` (``REPRO_METRICS=0``).
         """
-        from ..obs.metrics import (
-            MetricsRegistry,
-            collect_process_metrics,
-            metrics_from_env,
-        )
-
-        registry = metrics_from_env()
-        if registry is None:
+        if run is None:
             return
+        from ..obs.metrics import MetricsRegistry
+
+        registry = run.collect()
         for name, count in jobs.items():
             registry.counter(f"campaign.jobs_{name}").inc(count)
-        snapshot = collect_process_metrics().snapshot()
+        snapshot = registry.snapshot()
 
         def merge(conn: sqlite3.Connection) -> None:
             merged = MetricsRegistry()

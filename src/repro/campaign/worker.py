@@ -32,7 +32,7 @@ as the executor's beat, and the release of held leases on ``Ctrl-C``.
 The drain owns the run's bookkeeping for both entry points: its
 :class:`WorkerStats` is what the orchestrator's ``RunStats`` is built
 from, it logs each ``N/M done`` line and emits the ``campaign.job``
-trace events, and at the end it folds the process's counters into the
+trace events, and at the end it folds what the run counted into the
 campaign row (:meth:`ResultStore.fold_metrics`).
 """
 
@@ -48,7 +48,7 @@ from ..config import baseline_system
 from ..guard.chaos import ChaosPlan
 from ..metrics.summary import WorkloadResult
 from ..obs.config import TraceConfig
-from ..obs.metrics import metrics_from_env
+from ..obs.metrics import RunMetrics, run_metrics
 from ..sim import pool
 from ..sim.pool import SimJob
 from .queue import Lease, LeaseQueue, default_heartbeat_s
@@ -134,7 +134,9 @@ class _Drain:
         trace: TraceConfig | None,
         cache_dir: str | None,
         clock: Callable[[], float],
+        metrics: RunMetrics | None,
     ) -> None:
+        self.metrics = metrics if metrics is not None else run_metrics()
         self.spec = spec
         self.store = store
         self.queue = LeaseQueue(
@@ -220,10 +222,9 @@ class _Drain:
             lease, result, wall_time_s=wall, attempt=attempt, worker=str(pid)
         ):
             self.stats.completed += 1
-            registry = metrics_from_env()
-            if registry is not None:
-                registry.counter("campaign.jobs_ran").inc()
-                registry.histogram("campaign.job_wall_s").observe(wall)
+            if self.metrics is not None:
+                self.metrics.registry.counter("campaign.jobs_ran").inc()
+                self.metrics.registry.histogram("campaign.job_wall_s").observe(wall)
             self._report(lease.key, "done")
             self._resolve(lease.key)
             return True
@@ -510,6 +511,7 @@ def drain_campaign(
     trace: TraceConfig | None = None,
     cache_dir: str | None = "auto",
     clock: Callable[[], float] = time.time,
+    metrics: RunMetrics | None = None,
 ) -> WorkerStats:
     """Drain ``spec``'s runnable jobs from ``store`` as one worker.
 
@@ -529,8 +531,9 @@ def drain_campaign(
     of raising.  ``wait_for_peers=False`` returns as soon as every
     remaining job is leased to a live peer instead of polling until they
     settle.  ``max_jobs`` bounds how many jobs this call resolves
-    locally, serial or pooled.  A drain that returns folds this
-    process's counters into the campaign row.
+    locally, serial or pooled.  A drain that returns folds what its run
+    counted into the campaign row: ``metrics`` when the caller started
+    the run earlier, else what the process counted since the drain began.
     """
     if chaos is not None:
         store.chaos = chaos
@@ -556,10 +559,12 @@ def drain_campaign(
             trace=trace,
             cache_dir=cache_dir,
             clock=clock,
+            metrics=metrics,
         )
         stats = drain.run()
     store.fold_metrics(
         spec.fingerprint(),
+        drain.metrics,
         registered=drain.total,
         skipped=drain.stored + stats.foreign_done,
         failed=stats.failed,

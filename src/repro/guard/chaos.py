@@ -28,21 +28,17 @@ the resolved spec (:meth:`ChaosPlan.exported`) so all workers share it.
 
 from __future__ import annotations
 
-import hashlib
 import logging
-import multiprocessing
 import os
 import tempfile
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator
+from typing import Iterator
 
 from ..envknobs import EnvKnobError
-
-if TYPE_CHECKING:  # pragma: no cover
-    from ..sim.diskcache import DiskCache
+from ..sim.diskcache import DiskCache, sha256
 
 __all__ = ["CHAOS_STATS", "ChaosInjectedError", "ChaosPlan", "chaos_from_env"]
 
@@ -188,7 +184,7 @@ class ChaosPlan:
             return False
         if rate >= 1.0:
             return True
-        digest = hashlib.sha256(f"{self.seed}:{kind}:{key}".encode()).digest()
+        digest = sha256(f"{self.seed}:{kind}:{key}".encode()).digest()
         fraction = int.from_bytes(digest[:8], "big") / 2**64
         return fraction < rate
 
@@ -197,7 +193,7 @@ class ChaosPlan:
         every process sharing this plan's marker directory."""
         if not self._decide(kind, key):
             return False
-        token = hashlib.sha256(f"{kind}:{key}".encode()).hexdigest()[:16]
+        token = sha256(f"{kind}:{key}".encode()).hexdigest()[:16]
         marker = Path(self.dir) / f"{kind}-{token}.fired"
         try:
             marker.parent.mkdir(parents=True, exist_ok=True)
@@ -219,6 +215,8 @@ class ChaosPlan:
         :class:`ChaosInjectedError` (killing the CLI would defeat the
         point of testing recovery).
         """
+        import multiprocessing
+
         if self.fire_once("kill", key):
             if multiprocessing.parent_process() is not None:
                 logger.warning("chaos: killing worker on job %s", key[:12])
@@ -231,7 +229,7 @@ class ChaosPlan:
                 os._exit(137)
             raise ChaosInjectedError(f"chaos: injected worker hang for job {key[:12]}")
 
-    def corrupt_cache(self, cache: "DiskCache") -> int:
+    def corrupt_cache(self, cache: DiskCache) -> int:
         """Truncate or garbage selected cache entries; returns the count.
 
         Selected entries alternate (by key hash) between truncation —

@@ -45,12 +45,14 @@ __getattr__, __dir__ = lazy_exports(
             "Gauge",
             "Histogram",
             "MetricsRegistry",
+            "RunMetrics",
             "collect_process_metrics",
             "job_metrics",
             "merge_job_metrics",
             "metrics_enabled",
             "metrics_from_env",
             "reset_metrics",
+            "run_metrics",
         ),
         ".perfetto": ("chrome_trace", "write_chrome_trace"),
         ".sampler": ("LatencyHistogram", "Telemetry", "TelemetrySummary"),
@@ -75,6 +77,7 @@ __all__ = [
     "MetricsRegistry",
     "Probe",
     "RingBufferSink",
+    "RunMetrics",
     "Telemetry",
     "TelemetrySummary",
     "TraceConfig",
@@ -87,6 +90,7 @@ __all__ = [
     "metrics_from_env",
     "read_jsonl",
     "reset_metrics",
+    "run_metrics",
     "to_json",
     "to_prometheus",
     "write_chrome_trace",

@@ -46,12 +46,14 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
+    "RunMetrics",
     "collect_process_metrics",
     "job_metrics",
     "merge_job_metrics",
     "metrics_enabled",
     "metrics_from_env",
     "reset_metrics",
+    "run_metrics",
 ]
 
 _TRUE = ("1", "true", "yes", "on")
@@ -338,3 +340,33 @@ def collect_process_metrics() -> MetricsRegistry:
     for name in sorted(QUEUE_STATS):
         registry.counter(f"worker.{name}").inc(QUEUE_STATS[name])
     return registry
+
+
+class RunMetrics:
+    """The operational metrics of one run, such as one campaign drain.
+
+    The counters :func:`collect_process_metrics` gathers are cumulative
+    over the process, so a run notes where they stood when it started
+    and :meth:`collect` reports only their growth since, plus what the
+    run recorded in its own :attr:`registry` (its job counts, each job's
+    wall time).  A process that runs several campaigns (``repro table4``
+    runs one per core count) thus folds into each campaign row only the
+    counts of the run that made them.  Only counters are carried over
+    from the process: no layer writes gauges or histograms there.
+    """
+
+    def __init__(self) -> None:
+        self.registry = MetricsRegistry()
+        self._start = collect_process_metrics().snapshot()["counters"]
+
+    def collect(self) -> MetricsRegistry:
+        run = MetricsRegistry().merge(self.registry)
+        for name, value in collect_process_metrics().snapshot()["counters"].items():
+            run.counter(name).inc(value - self._start.get(name, 0))
+        return run
+
+
+def run_metrics(environ: Mapping[str, str] | None = None) -> RunMetrics | None:
+    """A :class:`RunMetrics` starting now, or exactly ``None`` when
+    ``REPRO_METRICS`` disables the registry."""
+    return RunMetrics() if metrics_enabled(environ) else None

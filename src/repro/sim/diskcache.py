@@ -25,7 +25,6 @@ directory layout is ``<root>/<kind>/<hash>.json``.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 import os
@@ -34,6 +33,18 @@ from dataclasses import asdict, is_dataclass
 from pathlib import Path
 
 from ..envknobs import read_optional_float
+
+# Content keys hash a few hundred short strings per step, so they use the
+# interpreter's own SHA-256 module: ``hashlib`` maps OpenSSL's libcrypto
+# (about 3.6 MB resident) on import.  The digests are identical.  CPython's
+# ``random`` picks its sha512 the same way.
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:  # an interpreter built without its own SHA-256
+        from hashlib import sha256
 
 __all__ = [
     "DiskCache",
@@ -92,7 +103,7 @@ def content_key(payload) -> str:
     canonical = json.dumps(
         payload, sort_keys=True, separators=(",", ":"), default=_jsonify
     )
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    return sha256(canonical.encode()).hexdigest()
 
 
 class DiskCache:

@@ -17,7 +17,6 @@ all-light (``tmix5``), plus a clone mix and a traced+synthetic hybrid.
 
 from __future__ import annotations
 
-import difflib
 import random
 
 from .profiles import PROFILES, BenchmarkProfile, by_category, profile
@@ -206,6 +205,8 @@ class UnknownMixError(KeyError):
     """
 
     def __init__(self, name: str) -> None:
+        import difflib
+
         suggestions = difflib.get_close_matches(
             name, MIX_REGISTRY, n=3, cutoff=0.5
         )

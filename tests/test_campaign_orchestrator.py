@@ -169,6 +169,29 @@ def test_campaign_probe_events(tmp_path):
     assert "campaign.job" in events
 
 
+def test_each_run_folds_only_its_own_counts(tmp_path):
+    """Runs in one process fold into each campaign row the counts of that
+    run alone: two campaigns run one after the other in one store, then
+    a resume of the first that finds every job stored."""
+    first = _spec(name="first", mix_count=1)
+    second = _spec(name="second", mix_count=1, mix_seed=7)
+    jobs = len(first.expand())
+    with ResultStore(tmp_path / "two.sqlite") as store:
+        for spec in (first, second, first):
+            run_campaign(spec, store, jobs=1)
+        rows = {
+            spec.name: store.metrics(spec.fingerprint()) for spec in (first, second)
+        }
+    for name, registrations in (("first", 2), ("second", 1)):
+        counters = rows[name]["counters"]
+        assert counters["campaign.jobs_registered"] == registrations * jobs
+        assert counters["campaign.jobs_skipped"] == (registrations - 1) * jobs
+        assert counters["campaign.jobs_ran"] == jobs
+        assert counters["pool.jobs_executed"] == jobs
+        assert counters["worker.leases_claimed"] == jobs
+        assert rows[name]["histograms"]["campaign.job_wall_s"]["count"] == jobs
+
+
 @pytest.mark.parametrize("jobs, parent_reads", [(1, 7), (2, 4)])
 def test_run_registers_and_reads_the_grid_once(
     tmp_path, monkeypatch, jobs, parent_reads

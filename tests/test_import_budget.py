@@ -206,6 +206,42 @@ def test_serial_campaign_run_loads_no_process_pool(finished_campaign, tmp_path):
     assert "concurrent.futures.process" not in loaded
 
 
+# Native code a step that runs jobs does not map.  ``hashlib`` maps
+# OpenSSL's libcrypto (about 3.6 MB resident); content keys hash with the
+# interpreter's own SHA-256, and only hashing a trace file imports it.
+OPENSSL = ("hashlib", "_hashlib")
+
+# What a step that simulates in its own process does not load: the pool's
+# ``multiprocessing`` (and with it ``socket``), ``uuid`` (``_uuid`` and
+# ``platform``) and ``difflib``, which only an unknown mix name needs.
+IN_PROCESS_UNUSED = ("multiprocessing", "uuid", "_uuid", "difflib")
+
+
+@pytest.mark.parametrize(
+    "args, in_process",
+    [
+        (("--jobs", "1", "campaign", "run"), True),
+        (("--jobs", "2", "campaign", "run"), False),
+        (("campaign", "work"), True),
+    ],
+    ids=["run-jobs-1", "run-jobs-2", "work"],
+)
+def test_job_running_steps_map_no_openssl(
+    finished_campaign, tmp_path, args, in_process
+):
+    """A step that runs jobs on a fresh store loads no ``hashlib``; one
+    that simulates in its own process loads none of ``multiprocessing``,
+    ``uuid`` or ``difflib`` either."""
+    _, spec = finished_campaign
+    loaded = _loaded_by_cli(tmp_path, "--backend", "fast", *args, str(spec))
+    assert "repro.sim.system" in loaded
+    assert sorted(loaded & set(OPENSSL)) == []
+    if in_process:
+        assert sorted(loaded & set(IN_PROCESS_UNUSED)) == []
+    else:
+        assert "multiprocessing" in loaded
+
+
 _RUN_MANY = (
     "from repro.config import baseline_system\n"
     "from repro.sim.runner import ExperimentRunner\n"

@@ -8,6 +8,9 @@ imports names the execution stack; imports inside functions and under
 ``if TYPE_CHECKING:`` are how that stack is deferred and are not checked.
 ``tests/test_import_budget.py`` checks each CLI step at run time; this
 check also fails for an eager import on a path no budget case runs.
+
+A second scan covers every module: none imports OpenSSL's bindings at
+module level, so no step maps libcrypto unless it hashes a trace file.
 """
 
 from __future__ import annotations
@@ -45,9 +48,21 @@ def _is_type_checking(node: ast.If) -> bool:
     )
 
 
-def _module_level_imports(tree: ast.Module) -> list[ast.Import | ast.ImportFrom]:
+def _is_import_error_handler(handler: ast.ExceptHandler) -> bool:
+    names = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+    return all(
+        isinstance(name, ast.Name) and name.id in ("ImportError", "ModuleNotFoundError")
+        for name in names
+    )
+
+
+def _module_level_imports(
+    tree: ast.Module, fallbacks: bool = True
+) -> list[ast.Import | ast.ImportFrom]:
     """Import statements that run when the module is imported: top-level
-    ones and those nested in top-level ``if``/``try``/``with`` blocks."""
+    ones and those nested in top-level ``if``/``try``/``with`` blocks.
+    ``fallbacks=False`` leaves out the bodies of ``except ImportError``
+    handlers, which run only where the module tried first is missing."""
     found: list[ast.Import | ast.ImportFrom] = []
     pending: list[ast.stmt] = list(tree.body)
     while pending:
@@ -62,7 +77,8 @@ def _module_level_imports(tree: ast.Module) -> list[ast.Import | ast.ImportFrom]
             for block in (node.body, node.orelse, node.finalbody):
                 pending.extend(block)
             for handler in node.handlers:
-                pending.extend(handler.body)
+                if fallbacks or not _is_import_error_handler(handler):
+                    pending.extend(handler.body)
         elif isinstance(node, ast.With):
             pending.extend(node.body)
     return found
@@ -133,3 +149,44 @@ def test_scan_sees_nested_and_skips_type_checking_imports():
         if _forbidden(name)
     ]
     assert found == ["multiprocessing"]
+
+
+# The modules that map OpenSSL's libcrypto when imported (``hmac`` and
+# ``secrets`` load ``_hashlib`` themselves): about 3.6 MB resident.
+OPENSSL = ("hashlib", "_hashlib", "hmac", "secrets", "ssl")
+
+
+def test_no_module_imports_openssl_at_module_level():
+    """Content keys hash with the interpreter's own SHA-256; ``hashlib``
+    is imported where a whole trace file is hashed, or as the fallback
+    for an interpreter built without its own SHA-256 module."""
+    bad = []
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        module = _module_name(path)
+        tree = ast.parse(path.read_text(), filename=str(path))
+        bad += [
+            f"{module} line {node.lineno}: {name}"
+            for node in _module_level_imports(tree, fallbacks=False)
+            for name in _imported_names(node, module)
+            if name.split(".")[0] in OPENSSL
+        ]
+    assert bad == []
+
+
+def test_openssl_scan_skips_only_import_error_fallbacks():
+    tree = ast.parse(
+        "try:\n"
+        "    from _sha2 import sha256\n"
+        "except ImportError:\n"
+        "    from hashlib import sha256\n"
+        "try:\n"
+        "    import hmac\n"
+        "except OSError:\n"
+        "    import hashlib\n"
+    )
+    found = [
+        name
+        for node in _module_level_imports(tree, fallbacks=False)
+        for name in _imported_names(node, "repro.sim.diskcache")
+    ]
+    assert sorted(found) == ["_sha2", "_sha2.sha256", "hashlib", "hmac"]
