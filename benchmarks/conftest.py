@@ -21,7 +21,7 @@ import pytest
 
 from repro.config import baseline_system
 from repro.envknobs import read_int, read_optional_int
-from repro.sim.diskcache import GLOBAL_STATS
+from repro.obs.metrics import PROCESS
 from repro.sim.pool import default_jobs
 from repro.sim.runner import ExperimentRunner
 
@@ -53,11 +53,13 @@ def runner8() -> ExperimentRunner:
 
 def pytest_terminal_summary(terminalreporter) -> None:
     """Report how much work the persistent simulation cache saved."""
-    stats = dict(GLOBAL_STATS)
-    if any(stats.values()):
+    counts = PROCESS.counts()
+    hits, misses, writes = (
+        counts[f"cache.{name}"] for name in ("hits", "misses", "writes")
+    )
+    if hits or misses or writes:
         terminalreporter.write_line(
-            "repro disk cache: {hits} hits, {misses} misses, "
-            "{writes} writes".format(**stats)
+            f"repro disk cache: {hits} hits, {misses} misses, {writes} writes"
         )
 
 

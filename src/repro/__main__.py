@@ -437,10 +437,10 @@ def main(argv: list[str] | None = None) -> int:
         # carries cycle/bank/request context or the stall diagnostic dump.
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    # Cache statistics no longer interleave with experiment output here:
-    # they flow through the metrics registry (collect_process_metrics) into
-    # campaign reports and `campaign watch`; `-v` still logs the pool's
-    # one-line cache report at INFO.
+    # Cache counts are not printed with the results: they go to the
+    # process registry (repro.obs.metrics.PROCESS), which each campaign
+    # run folds into its row for `campaign watch`, and `-v` logs the
+    # pool's one-line cache report at INFO.
     return status
 
 

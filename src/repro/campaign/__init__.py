@@ -42,7 +42,7 @@ __getattr__, __dir__ = lazy_exports(
     {
         ".manifest": ("MANIFEST_VERSION", "build_manifest"),
         ".orchestrator": ("RunStats", "run_and_collect", "run_campaign"),
-        ".queue": ("QUEUE_STATS", "Lease", "LeaseQueue"),
+        ".queue": ("Lease", "LeaseQueue"),
         ".report": ("campaign_report", "export_rows", "export_text", "status_report"),
         ".serde": (
             "result_from_dict",
@@ -51,7 +51,13 @@ __getattr__, __dir__ = lazy_exports(
             "result_to_json",
         ),
         ".spec": ("CampaignJob", "CampaignSpec", "Variant", "load_spec", "spec_from_dict"),
-        ".store": ("SCHEMA_VERSION", "STORE_STATS", "ResultStore", "default_db_path"),
+        ".store": (
+            "QUEUE_STATS",
+            "SCHEMA_VERSION",
+            "STORE_STATS",
+            "ResultStore",
+            "default_db_path",
+        ),
         ".watch": ("merged_metrics", "watch_counts", "watch_report"),
         ".worker": ("LeaseLost", "WorkerStats", "drain_campaign"),
     },

@@ -40,7 +40,7 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from ..envknobs import read_float
-from ..obs.metrics import job_metrics
+from ..obs.metrics import PROCESS, job_metrics
 from .store import PROGRESS_UPSERT, ResultStore, progress_params
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -49,23 +49,11 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "Lease",
     "LeaseQueue",
-    "QUEUE_STATS",
     "default_heartbeat_s",
     "default_lease_s",
 ]
 
 logger = logging.getLogger(__name__)
-
-# Operational counters of this process's queue traffic, folded into the
-# metrics plane as ``worker.*`` by
-# :func:`repro.obs.metrics.collect_process_metrics`.
-QUEUE_STATS = {
-    "leases_claimed": 0,
-    "leases_renewed": 0,
-    "leases_expired": 0,
-    "leases_reclaimed": 0,
-    "leases_fenced": 0,
-}
 
 _DEFAULT_LEASE_S = 30.0
 _CHUNK = 500
@@ -229,7 +217,7 @@ class LeaseQueue:
                         for lease in taken
                     ],
                 )
-                QUEUE_STATS["leases_claimed"] += len(taken)
+                PROCESS.counter("worker.leases_claimed").inc(len(taken))
                 leases.extend(taken)
             return leases
 
@@ -258,8 +246,8 @@ class LeaseQueue:
                 row["key"][:12],
                 row["worker_id"],
             )
-        QUEUE_STATS["leases_expired"] += len(rows)
-        QUEUE_STATS["leases_reclaimed"] += len(rows)
+        PROCESS.counter("worker.leases_expired").inc(len(rows))
+        PROCESS.counter("worker.leases_reclaimed").inc(len(rows))
 
     def heartbeat(self, lease: Lease) -> Lease | None:
         """Renew the lease deadline; ``None`` means fenced out (the lease
@@ -267,7 +255,7 @@ class LeaseQueue:
 
         def fn(conn):
             if self._fenced_row(conn, lease) is None:
-                QUEUE_STATS["leases_fenced"] += 1
+                PROCESS.counter("worker.leases_fenced").inc()
                 return None
             now = self._clock()
             deadline = now + self.lease_s
@@ -276,7 +264,7 @@ class LeaseQueue:
                 "WHERE key = ?",
                 (now, deadline, lease.key),
             )
-            QUEUE_STATS["leases_renewed"] += 1
+            PROCESS.counter("worker.leases_renewed").inc()
             return replace(lease, deadline=deadline)
 
         return self.store.transaction(lease.key, fn)
@@ -313,7 +301,7 @@ class LeaseQueue:
 
         def fn(conn):
             if self._fenced_row(conn, lease) is None:
-                QUEUE_STATS["leases_fenced"] += 1
+                PROCESS.counter("worker.leases_fenced").inc()
                 logger.warning(
                     "fenced: stale worker %s may not commit %s",
                     lease.worker_id,
@@ -337,7 +325,7 @@ class LeaseQueue:
 
         def fn(conn):
             if self._fenced_row(conn, lease) is None:
-                QUEUE_STATS["leases_fenced"] += 1
+                PROCESS.counter("worker.leases_fenced").inc()
                 return False
             conn.execute(
                 "UPDATE jobs SET status = 'failed', error = ?, "

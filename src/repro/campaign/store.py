@@ -37,6 +37,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence, TypeVar
 
 from ..envknobs import read_float
+from ..obs.metrics import PROCESS
 from ..sim.diskcache import cache_enabled, default_cache_dir
 from .spec import CampaignJob, CampaignSpec
 
@@ -44,7 +45,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..metrics.summary import WorkloadResult
     from ..obs.metrics import RunMetrics
 
-__all__ = ["ResultStore", "SCHEMA_VERSION", "STORE_STATS", "default_db_path"]
+__all__ = ["ResultStore", "SCHEMA_VERSION", "default_db_path"]
 
 logger = logging.getLogger(__name__)
 
@@ -56,9 +57,24 @@ SCHEMA_VERSION = 4
 # ``REPRO_STORE_BUSY_TIMEOUT_S`` when many workers share one database.
 _BUSY_TIMEOUT_DEFAULT_S = 30.0
 
-# Operational counters of this process's store traffic, folded into the
-# metrics plane by :func:`repro.obs.metrics.collect_process_metrics`.
-STORE_STATS = {"commit_retries": 0}
+
+class _CounterView:
+    """``view[name]``: the process registry's ``<prefix><name>`` counter."""
+
+    def __init__(self, prefix: str) -> None:
+        self._prefix = prefix
+
+    def __getitem__(self, name: str) -> int:
+        return PROCESS.counts()[self._prefix + name]
+
+
+# Read-only live views over the process registry, kept only because
+# perfbench/spans.py reads ``STORE_STATS["commit_retries"]`` and
+# ``QUEUE_STATS["leases_fenced"]`` by name through ``repro.campaign``.
+# ROADMAP item 10's benchmark change moves perfbench onto the registry
+# and deletes both.
+STORE_STATS = _CounterView("store.")
+QUEUE_STATS = _CounterView("worker.")
 
 # Transient-commit retry policy: SQLite raises OperationalError for lock
 # contention ("database is locked") — and chaos injection mimics exactly
@@ -392,7 +408,7 @@ class ResultStore:
             except sqlite3.OperationalError as exc:
                 if attempt >= _COMMIT_RETRIES:
                     raise
-                STORE_STATS["commit_retries"] += 1
+                PROCESS.counter("store.commit_retries").inc()
                 delay = min(
                     _COMMIT_BACKOFF_S * (2**attempt), _COMMIT_BACKOFF_MAX_S
                 )

@@ -25,8 +25,11 @@ FIG9_UNFAIRNESS = {"FR-FCFS": 4.78, "FCFS": 4.54, "NFQ": 3.21, "STFM": 1.66, "PA
 
 # Table 4: geometric means over all workloads per system size.
 # Metrics: unfairness, weighted speedup, hmean speedup, AST/req, worst-case
-# request latency.  (16-core hmean speedup is reported x10 in the paper's
-# Figure 10 but plainly in Table 4.)
+# request latency.  Every hmean speedup is in the unit of
+# :func:`repro.metrics.speedup.hmean_speedup`, a harmonic mean of
+# per-thread speedups that is at most about 1.  The 16-core values read
+# 2.69-3.50 as printed, ten times that unit (the x10 scale of the paper's
+# Figure 10), so they are stored divided by 10.
 TABLE4: dict[int, dict[str, dict[str, float]]] = {
     4: {
         "FR-FCFS": {"unfairness": 3.12, "wspeedup": 1.70, "hspeedup": 0.43, "ast": 374, "wc_latency": 18481},
@@ -43,10 +46,10 @@ TABLE4: dict[int, dict[str, dict[str, float]]] = {
         "PAR-BS": {"unfairness": 1.31, "wspeedup": 2.20, "hspeedup": 0.37, "ast": 457, "wc_latency": 25614},
     },
     16: {
-        "FR-FCFS": {"unfairness": 4.99, "wspeedup": 3.62, "hspeedup": 2.93, "ast": 968, "wc_latency": 35117},
-        "FCFS": {"unfairness": 3.06, "wspeedup": 3.23, "hspeedup": 2.69, "ast": 964, "wc_latency": 36549},
-        "NFQ": {"unfairness": 3.74, "wspeedup": 3.75, "hspeedup": 2.93, "ast": 774, "wc_latency": 88732},
-        "STFM": {"unfairness": 1.81, "wspeedup": 3.85, "hspeedup": 3.33, "ast": 712, "wc_latency": 86577},
-        "PAR-BS": {"unfairness": 1.63, "wspeedup": 3.97, "hspeedup": 3.50, "ast": 676, "wc_latency": 41115},
+        "FR-FCFS": {"unfairness": 4.99, "wspeedup": 3.62, "hspeedup": 0.293, "ast": 968, "wc_latency": 35117},
+        "FCFS": {"unfairness": 3.06, "wspeedup": 3.23, "hspeedup": 0.269, "ast": 964, "wc_latency": 36549},
+        "NFQ": {"unfairness": 3.74, "wspeedup": 3.75, "hspeedup": 0.293, "ast": 774, "wc_latency": 88732},
+        "STFM": {"unfairness": 1.81, "wspeedup": 3.85, "hspeedup": 0.333, "ast": 712, "wc_latency": 86577},
+        "PAR-BS": {"unfairness": 1.63, "wspeedup": 3.97, "hspeedup": 0.350, "ast": 676, "wc_latency": 41115},
     },
 }

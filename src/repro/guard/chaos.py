@@ -38,17 +38,12 @@ from pathlib import Path
 from typing import Iterator
 
 from ..envknobs import EnvKnobError
+from ..obs.metrics import PROCESS
 from ..sim.diskcache import DiskCache, sha256
 
-__all__ = ["CHAOS_STATS", "ChaosInjectedError", "ChaosPlan", "chaos_from_env"]
+__all__ = ["ChaosInjectedError", "ChaosPlan", "chaos_from_env"]
 
 logger = logging.getLogger(__name__)
-
-# Injections actually fired by this process, by fault kind.  Folded into
-# the metrics plane by :func:`repro.obs.metrics.collect_process_metrics`
-# (workers that die to an injection take their count with them — the
-# surviving processes' tallies are the observable signal).
-CHAOS_STATS: dict[str, int] = {}
 
 _RATE_FIELDS = ("kill", "hang", "corrupt", "sqlite", "leasekill", "hbfreeze")
 
@@ -203,7 +198,9 @@ class ChaosPlan:
             return False
         with os.fdopen(fd, "w") as fh:
             fh.write(f"{kind} {key}\n")
-        CHAOS_STATS[kind] = CHAOS_STATS.get(kind, 0) + 1
+        # A worker that dies to the injection takes this count with it:
+        # the surviving processes' counts are the observable signal.
+        PROCESS.counter(f"chaos.fired.{kind}").inc()
         return True
 
     # -- fault actions -----------------------------------------------------

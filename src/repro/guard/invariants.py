@@ -45,6 +45,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping
 
 from ..envknobs import read_choice
 from ..events import SimulationError
+from ..obs.metrics import PROCESS
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.batcher import Batcher
@@ -52,17 +53,11 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..dram.controller import MemoryController
     from ..dram.request import MemoryRequest
 
-__all__ = ["GUARD_MODES", "GUARD_STATS", "Guard", "InvariantViolation", "guard_from_env"]
+__all__ = ["GUARD_MODES", "Guard", "InvariantViolation", "guard_from_env"]
 
 logger = logging.getLogger(__name__)
 
 GUARD_MODES = ("off", "check", "strict")
-
-# Process-wide violation tally by invariant kind, across every Guard
-# instance (strict-mode raises included — the count happens first).
-# Folded into the metrics plane by
-# :func:`repro.obs.metrics.collect_process_metrics`.
-GUARD_STATS: dict[str, int] = {}
 
 # Conservation states for buffered/in-service requests.
 _BUFFERED = 0
@@ -191,7 +186,8 @@ class Guard:
 
     # -- violation plumbing ------------------------------------------------
     def _report(self, violation: InvariantViolation) -> None:
-        GUARD_STATS[violation.kind] = GUARD_STATS.get(violation.kind, 0) + 1
+        # Counted first, so a strict-mode raise is counted too.
+        PROCESS.counter(f"guard.violations.{violation.kind}").inc()
         if self.mode == "strict":
             raise violation
         self.violations.append(violation)

@@ -18,12 +18,12 @@ the simulator.  It has three parts:
   parallelism, windowed row-hit rate and batch size, plus log-bucketed
   per-thread latency histograms (p50/p95/p99/max) surfaced in
   :class:`~repro.metrics.summary.WorkloadResult`;
-* a **metrics registry** (:mod:`repro.obs.metrics`): probe-or-None
-  counters/gauges/histograms over the operational layers (pool, cache,
-  store, guard, chaos), picklable and order-independently mergeable
-  across workers, snapshotting to JSON and Prometheus text exposition
-  format (:mod:`repro.obs.export`) — the substrate behind
-  ``campaign watch``.
+* a **metrics registry** (:mod:`repro.obs.metrics`): the one process
+  registry the operational layers (pool, cache, store, queue, guard,
+  chaos) count into, whose growth pool tasks carry home and each run
+  folds into its campaign row; registries merge order-independently and
+  snapshot to JSON and Prometheus text exposition format
+  (:mod:`repro.obs.export`) — the substrate behind ``campaign watch``.
 
 Wiring happens in :class:`~repro.sim.system.System` (accepts a tracer and
 a telemetry recorder), :class:`~repro.sim.runner.ExperimentRunner` /
@@ -45,13 +45,12 @@ __getattr__, __dir__ = lazy_exports(
             "Gauge",
             "Histogram",
             "MetricsRegistry",
+            "PROCESS",
+            "PROCESS_COUNTERS",
             "RunMetrics",
-            "collect_process_metrics",
             "job_metrics",
             "merge_job_metrics",
             "metrics_enabled",
-            "metrics_from_env",
-            "reset_metrics",
             "run_metrics",
         ),
         ".perfetto": ("chrome_trace", "write_chrome_trace"),
@@ -75,6 +74,8 @@ __all__ = [
     "JsonlSink",
     "LatencyHistogram",
     "MetricsRegistry",
+    "PROCESS",
+    "PROCESS_COUNTERS",
     "Probe",
     "RingBufferSink",
     "RunMetrics",
@@ -83,13 +84,10 @@ __all__ = [
     "TraceConfig",
     "Tracer",
     "chrome_trace",
-    "collect_process_metrics",
     "job_metrics",
     "merge_job_metrics",
     "metrics_enabled",
-    "metrics_from_env",
     "read_jsonl",
-    "reset_metrics",
     "run_metrics",
     "to_json",
     "to_prometheus",

@@ -1,32 +1,31 @@
-"""Probe-or-None metrics registry: counters, gauges, histograms.
+"""The process metrics registry: counters, gauges, histograms.
 
 The trace bus (:mod:`repro.obs.trace`) answers "what happened, in
 order"; this module answers "how much, how often, how long" for the
 *operational* layers built around the simulator — pool incidents, cache
-traffic, store commit retries, guard violations, chaos injections, and
-the fast backend's elision/rebuild counters.  The discipline is the same
-as every other observability hook in the repo:
+traffic, store commit retries, lease traffic, guard violations and
+chaos injections.
 
-* **probe-or-None** — :func:`metrics_from_env` returns the process
-  registry when ``REPRO_METRICS`` enables it (the default) and exactly
-  ``None`` otherwise, so a disabled site pays one ``is not None`` test
-  and nothing else.  Nothing in the simulator's per-event hot path
-  touches the registry at all: instrumentation lives at run and job
-  boundaries (a job committed, a pool respawned, a cache entry pruned).
-* **mergeable** — a :class:`MetricsRegistry` pickles, and
-  :meth:`MetricsRegistry.merge` combines registries or snapshots
-  order-independently (counters sum, gauges keep the max, histograms add
-  bucket-wise), so serial and ``--jobs N`` executions of the same work
-  merge to identical *deterministic* metrics — the same bit-identity
-  contract the trace bus keeps for per-job trace files.
+* **one registry** — :data:`PROCESS` is this process's only operational
+  counter store.  Each layer counts into it where the event happens
+  (``PROCESS.counter("pool.respawns").inc()``), at run and job
+  boundaries only, never per simulated event.  The counters of
+  :data:`PROCESS_COUNTERS` start at 0; a guard violation or chaos
+  injection adds its own when it first fires.
+* **runs, probe-or-None** — :func:`run_metrics` returns a
+  :class:`RunMetrics`, which folds only a run's growth of the counters
+  into the result store, or exactly ``None`` under ``REPRO_METRICS=0``.
+* **mergeable** — :meth:`MetricsRegistry.merge` combines registries or
+  snapshots order-independently (counters sum, gauges keep the max,
+  histograms add bucket-wise).  A pool task carries its worker's
+  counter growth home (:func:`repro.sim.pool.run_tasks`), so pooled
+  work is counted in the process that submitted it.
 * **two kinds of truth** — :func:`job_metrics` extracts the
   *deterministic* per-job counters from a finished
-  :class:`~repro.metrics.summary.WorkloadResult` (logical events, elided
-  wakes, min-rebuilds, cycles, row outcomes): pure functions of the job
-  description, safe to compare byte-for-byte across serial/parallel
-  runs.  :func:`collect_process_metrics` gathers the *operational*
-  counters of this process (cache hits, respawns, retries): honest
-  telemetry, never part of a determinism gate.
+  :class:`~repro.metrics.summary.WorkloadResult`: pure functions of the
+  job description, safe to compare byte-for-byte across serial/parallel
+  runs.  The operational counters are honest telemetry, never part of a
+  determinism gate.
 
 Snapshots export to JSON and Prometheus text via :mod:`repro.obs.export`.
 """
@@ -34,7 +33,6 @@ Snapshots export to JSON and Prometheus text via :mod:`repro.obs.export`.
 from __future__ import annotations
 
 import os
-import sys
 from math import frexp
 from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
@@ -46,13 +44,12 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
+    "PROCESS",
+    "PROCESS_COUNTERS",
     "RunMetrics",
-    "collect_process_metrics",
     "job_metrics",
     "merge_job_metrics",
     "metrics_enabled",
-    "metrics_from_env",
-    "reset_metrics",
     "run_metrics",
 ]
 
@@ -160,6 +157,19 @@ class MetricsRegistry:
     def __bool__(self) -> bool:
         return bool(self._counters or self._gauges or self._histograms)
 
+    def counts(self) -> dict[str, int | float]:
+        """Every counter's current value, to measure growth from."""
+        return {name: counter.value for name, counter in self._counters.items()}
+
+    def growth(self, since: Mapping[str, int | float]) -> dict[str, int | float]:
+        """The counters that grew since ``since`` (a :meth:`counts`), by
+        how much."""
+        return {
+            name: counter.value - since.get(name, 0)
+            for name, counter in self._counters.items()
+            if counter.value != since.get(name, 0)
+        }
+
     # -- snapshots ---------------------------------------------------------
     def snapshot(self) -> dict[str, Any]:
         """A JSON-serializable snapshot with deterministic key order."""
@@ -216,20 +226,42 @@ class MetricsRegistry:
         return self
 
 
-# -- process-global registry (probe-or-None) --------------------------------
+# -- the process registry ----------------------------------------------------
 
-# The per-process operational registry.  It exists unconditionally (so
-# toggling REPRO_METRICS between reads never loses counts) but is only
-# *handed out* when the knob enables it — disabled sites hold None.
-_REGISTRY = MetricsRegistry()
+# The operational counters every snapshot reports, zeros included.
+PROCESS_COUNTERS = (
+    "cache.hits",
+    "cache.misses",
+    "cache.pruned",
+    "cache.quarantined",
+    "cache.writes",
+    "pool.jobs_executed",
+    "pool.respawns",
+    "pool.serial_fallbacks",
+    "pool.timeouts",
+    "store.commit_retries",
+    "worker.leases_claimed",
+    "worker.leases_expired",
+    "worker.leases_fenced",
+    "worker.leases_reclaimed",
+    "worker.leases_renewed",
+)
+
+# This process's operational counters.  Every layer counts here whatever
+# ``REPRO_METRICS`` says; the knob decides only whether a run folds them
+# into the result store (:func:`run_metrics`).
+PROCESS = MetricsRegistry.from_snapshot(
+    {"counters": dict.fromkeys(PROCESS_COUNTERS, 0)}
+)
 
 
 def metrics_enabled(environ: Mapping[str, str] | None = None) -> bool:
-    """Whether ``REPRO_METRICS`` enables the registry (default: on).
+    """Whether ``REPRO_METRICS`` enables run metrics (default: on).
 
     Operational metrics are boundary-cost only (nothing per simulated
-    event), so unlike tracing they default on; set ``REPRO_METRICS=0``
-    to compile every site down to ``None``.
+    event), so unlike tracing they default on; ``REPRO_METRICS=0`` makes
+    :func:`run_metrics` return ``None``, so no run folds its counts into
+    the result store.
     """
     env = os.environ if environ is None else environ
     raw = (env.get("REPRO_METRICS") or "").strip().lower()
@@ -242,23 +274,6 @@ def metrics_enabled(environ: Mapping[str, str] | None = None) -> bool:
     raise EnvKnobError(
         f"REPRO_METRICS must be one of {', '.join(_TRUE + _FALSE)} (got {raw!r})"
     )
-
-
-def metrics_from_env(environ: Mapping[str, str] | None = None) -> MetricsRegistry | None:
-    """The process metrics registry, or exactly ``None`` when disabled.
-
-    The probe-or-None contract of the trace bus and the guard: a site
-    does ``reg = metrics_from_env()`` once per boundary event and pays a
-    single ``is not None`` test when metrics are off.
-    """
-    return _REGISTRY if metrics_enabled(environ) else None
-
-
-def reset_metrics() -> None:
-    """Zero the process registry (test isolation)."""
-    _REGISTRY._counters.clear()
-    _REGISTRY._gauges.clear()
-    _REGISTRY._histograms.clear()
 
 
 # -- deterministic per-job metrics ------------------------------------------
@@ -293,80 +308,33 @@ def merge_job_metrics(blobs: Iterable[Mapping[str, int]]) -> dict[str, int]:
     return {name: merged[name] for name in sorted(merged)}
 
 
-# -- operational collection --------------------------------------------------
-
-def collect_process_metrics() -> MetricsRegistry:
-    """This process's operational counters as one fresh registry.
-
-    Pull-style collection: the pool, disk cache, guard and chaos layers
-    keep their native plain-dict counters (zero overhead, no imports of
-    this module), and this function folds them — together with whatever
-    instruments pushed into the probe-or-None registry — into a single
-    mergeable snapshot.  Imports are lazy so the obs package never drags
-    the campaign stack in at import time, and the guard counters are read
-    only from guard modules already loaded: they start empty, so a guard
-    layer this process never imported counted nothing.
-    """
-    registry = MetricsRegistry()
-    registry.merge(_REGISTRY)
-
-    from ..sim.diskcache import GLOBAL_STATS
-
-    for name in sorted(GLOBAL_STATS):
-        registry.counter(f"cache.{name}").inc(GLOBAL_STATS[name])
-
-    from ..sim.poolstats import JOB_STATS, POOL_STATS
-
-    registry.counter("pool.jobs_executed").inc(JOB_STATS["executed"])
-    for name in sorted(POOL_STATS):
-        registry.counter(f"pool.{name}").inc(POOL_STATS[name])
-
-    invariants = sys.modules.get("repro.guard.invariants")
-    guard_stats = invariants.GUARD_STATS if invariants is not None else {}
-    for kind in sorted(guard_stats):
-        registry.counter(f"guard.violations.{kind}").inc(guard_stats[kind])
-
-    chaos = sys.modules.get("repro.guard.chaos")
-    chaos_stats = chaos.CHAOS_STATS if chaos is not None else {}
-    for kind in sorted(chaos_stats):
-        registry.counter(f"chaos.fired.{kind}").inc(chaos_stats[kind])
-
-    from ..campaign.store import STORE_STATS
-
-    registry.counter("store.commit_retries").inc(STORE_STATS["commit_retries"])
-
-    from ..campaign.queue import QUEUE_STATS
-
-    for name in sorted(QUEUE_STATS):
-        registry.counter(f"worker.{name}").inc(QUEUE_STATS[name])
-    return registry
-
+# -- runs --------------------------------------------------------------------
 
 class RunMetrics:
     """The operational metrics of one run, such as one campaign drain.
 
-    The counters :func:`collect_process_metrics` gathers are cumulative
-    over the process, so a run notes where they stood when it started
-    and :meth:`collect` reports only their growth since, plus what the
-    run recorded in its own :attr:`registry` (its job counts, each job's
-    wall time).  A process that runs several campaigns (``repro table4``
-    runs one per core count) thus folds into each campaign row only the
-    counts of the run that made them.  Only counters are carried over
-    from the process: no layer writes gauges or histograms there.
+    The :data:`PROCESS` counters are cumulative over the process, so a
+    run notes where they stood when it started and :meth:`collect`
+    reports their growth since, zeros included, plus what the run
+    recorded in its own :attr:`registry` (its job counts, each job's wall
+    time).  A process that runs several campaigns (``repro table4`` runs
+    one per core count) thus folds into each campaign row only the counts
+    of the run that made them.  Only counters are carried over from the
+    process: no layer writes gauges or histograms there.
     """
 
     def __init__(self) -> None:
         self.registry = MetricsRegistry()
-        self._start = collect_process_metrics().snapshot()["counters"]
+        self._start = PROCESS.counts()
 
     def collect(self) -> MetricsRegistry:
         run = MetricsRegistry().merge(self.registry)
-        for name, value in collect_process_metrics().snapshot()["counters"].items():
+        for name, value in PROCESS.counts().items():
             run.counter(name).inc(value - self._start.get(name, 0))
         return run
 
 
 def run_metrics(environ: Mapping[str, str] | None = None) -> RunMetrics | None:
     """A :class:`RunMetrics` starting now, or exactly ``None`` when
-    ``REPRO_METRICS`` disables the registry."""
+    ``REPRO_METRICS`` disables run metrics."""
     return RunMetrics() if metrics_enabled(environ) else None

@@ -33,6 +33,7 @@ from dataclasses import asdict, is_dataclass
 from pathlib import Path
 
 from ..envknobs import read_optional_float
+from ..obs.metrics import PROCESS
 
 # Content keys hash a few hundred short strings per step, so they use the
 # interpreter's own SHA-256 module: ``hashlib`` maps OpenSSL's libcrypto
@@ -48,7 +49,6 @@ except ImportError:
 
 __all__ = [
     "DiskCache",
-    "GLOBAL_STATS",
     "cache_enabled",
     "clear_cache",
     "content_key",
@@ -61,12 +61,6 @@ logger = logging.getLogger(__name__)
 # Bump when simulator semantics change in a way that alters cached
 # artifacts (trace generation, timing model, metric definitions).
 SIM_FINGERPRINT = "parbs-sim-v1"
-
-# Aggregate counters across every DiskCache instance in this process —
-# the observable "did the suite hit the cache?" signal.  ``quarantined``
-# counts corrupt/truncated entries renamed aside and recomputed.
-GLOBAL_STATS = {"hits": 0, "misses": 0, "writes": 0, "quarantined": 0, "pruned": 0}
-
 
 def default_cache_dir() -> Path:
     """Resolve the cache root from the environment."""
@@ -107,7 +101,13 @@ def content_key(payload) -> str:
 
 
 class DiskCache:
-    """A content-addressed JSON store with hit/miss accounting.
+    """A content-addressed JSON store.
+
+    Every instance counts its traffic into the process registry
+    (:data:`repro.obs.metrics.PROCESS`) as ``cache.hits``,
+    ``cache.misses``, ``cache.writes``, ``cache.pruned`` and
+    ``cache.quarantined`` (corrupt or truncated entries renamed aside
+    and recomputed).
 
     When a size bound is configured (``max_mb`` argument or the
     ``REPRO_CACHE_MAX_MB`` environment variable) the cache prunes itself
@@ -125,11 +125,7 @@ class DiskCache:
     ) -> None:
         self.root = Path(root) if root is not None else default_cache_dir()
         self.max_mb = max_mb if max_mb is not None else max_cache_mb()
-        self.hits = 0
-        self.misses = 0
-        self.writes = 0
-        self.pruned = 0
-        self.quarantined = 0
+        self._writes = 0  # this instance's, for the PRUNE_EVERY cadence
 
     def _path(self, kind: str, key: str) -> Path:
         return self.root / kind / f"{key}.json"
@@ -141,8 +137,7 @@ class DiskCache:
             with path.open() as fh:
                 value = json.load(fh)
         except FileNotFoundError:
-            self.misses += 1
-            GLOBAL_STATS["misses"] += 1
+            PROCESS.counter("cache.misses").inc()
             return None
         except (OSError, json.JSONDecodeError) as exc:
             # Corrupt or truncated entry (torn write, disk fault, chaos
@@ -150,11 +145,9 @@ class DiskCache:
             # ``.corrupt`` suffix keeps it out of ``entries()``/pruning —
             # count it, and let the caller recompute.  Never crash the run.
             self._quarantine(path, exc)
-            self.misses += 1
-            GLOBAL_STATS["misses"] += 1
+            PROCESS.counter("cache.misses").inc()
             return None
-        self.hits += 1
-        GLOBAL_STATS["hits"] += 1
+        PROCESS.counter("cache.hits").inc()
         try:
             # LRU touch: keep hot entries at the back of the prune order.
             os.utime(path)
@@ -171,8 +164,7 @@ class DiskCache:
             # Rename failed (e.g. concurrent unlink): best-effort removal.
             path.unlink(missing_ok=True)
             aside = None
-        self.quarantined += 1
-        GLOBAL_STATS["quarantined"] += 1
+        PROCESS.counter("cache.quarantined").inc()
         logger.warning(
             "cache entry %s is corrupt (%s); quarantined %s",
             path.name,
@@ -197,19 +189,10 @@ class DiskCache:
             except OSError:
                 pass
             raise
-        self.writes += 1
-        GLOBAL_STATS["writes"] += 1
-        if self.max_mb is not None and self.writes % self.PRUNE_EVERY == 0:
+        PROCESS.counter("cache.writes").inc()
+        self._writes += 1
+        if self.max_mb is not None and self._writes % self.PRUNE_EVERY == 0:
             self.prune()
-
-    def stats(self) -> dict[str, int]:
-        """Hit/miss/write counters for this cache instance."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "writes": self.writes,
-            "quarantined": self.quarantined,
-        }
 
     # -- size accounting and LRU pruning ------------------------------------
     def entries(self) -> list[tuple[Path, float, int]]:
@@ -262,8 +245,7 @@ class DiskCache:
             removed += 1
             freed += size
         if removed:
-            self.pruned += removed
-            GLOBAL_STATS["pruned"] += removed
+            PROCESS.counter("cache.pruned").inc(removed)
             logger.info(
                 "cache pruned: %d entries, %.1f MB freed", removed, freed / 1e6
             )

@@ -11,8 +11,10 @@ process-pool module is imported only when one starts), at most twice the
 pool's size of tasks in flight, the wait loop with its no-progress
 timeout and optional beat, teardown, respawn after an incident (a worker
 died, or nothing finished in time), the in-process fallback after
-:data:`POOL_INCIDENT_LIMIT` incidents, and every :data:`POOL_STATS`
-count.  Its three callers supply only what differs:
+:data:`POOL_INCIDENT_LIMIT` incidents, and every ``pool.*`` count of the
+process registry (:data:`repro.obs.metrics.PROCESS`); each task carries
+the growth of its worker's counters home.  Its three callers supply only
+what differs:
 
 * :func:`run_jobs` (``ExperimentRunner.run_many``) collects results by
   index and falls back to :func:`run_job`;
@@ -55,8 +57,8 @@ from ..config import SystemConfig
 from ..envknobs import default_job_timeout, default_jobs
 from ..guard.chaos import ChaosInjectedError, chaos_from_env
 from ..obs.config import TraceConfig
-from .diskcache import GLOBAL_STATS, DiskCache, content_key
-from .poolstats import JOB_STATS, POOL_STATS
+from ..obs.metrics import PROCESS
+from .diskcache import content_key
 from .verify import backend_from_env
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -66,9 +68,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from .runner import ExperimentRunner
 
 __all__ = [
-    "JOB_STATS",
     "POOL_INCIDENT_LIMIT",
-    "POOL_STATS",
     "SimJob",
     "default_job_timeout",
     "default_jobs",
@@ -225,7 +225,7 @@ def run_job(job: SimJob) -> "WorkloadResult":
         # (or raises ChaosInjectedError when running in-process) — once.
         chaos.maybe_kill_worker(job_chaos_key(job))
     runner = _runner_for(job)
-    JOB_STATS["executed"] += 1
+    PROCESS.counter("pool.jobs_executed").inc()
     return runner.run_workload(
         list(job.workload), job.scheduler, **job.scheduler_kwargs
     )
@@ -295,15 +295,10 @@ def run_jobs(
     return [by_index[index] for index in range(len(jobs))]
 
 
-def _warm_alone(job: SimJob, benchmark: str) -> dict[str, int]:
+def _warm_alone(job: SimJob, benchmark: str) -> None:
     """Compute one alone-run baseline of ``job``'s parameterization into
-    the disk cache; returns the task's disk-cache counter deltas."""
-    runner = _runner_for(job)
-    disk = runner.disk_cache
-    assert disk is not None
-    before = disk.stats()
-    runner.alone(benchmark)
-    return {name: count - before[name] for name, count in disk.stats().items()}
+    the disk cache."""
+    _runner_for(job).alone(benchmark)
 
 
 def warm_baselines(
@@ -320,8 +315,8 @@ def warm_baselines(
     cache for each distinct one, through ``runner`` (the calling runner,
     whose parameterization every job shares) or else a fresh runner per
     parameterization, and sends only the missing ones to a short-lived
-    pool, so a warm cache forks nothing.  Each task's cache counters are
-    added to the checking runner's cache and to ``GLOBAL_STATS``.
+    pool, so a warm cache forks nothing.  The workers' cache counts reach
+    this process's registry with each task (see :func:`run_tasks`).
 
     A baseline's own exception propagates unchanged.  A broken pool (a
     worker died) is logged and tolerated, with no respawn and nothing run
@@ -343,13 +338,11 @@ def warm_baselines(
             job.decoder,
         )
         groups.setdefault(key, (job, {}))[1].update(dict.fromkeys(job.workload))
-    missing: list[tuple[SimJob, str, DiskCache]] = []
+    missing: list[tuple[SimJob, str]] = []
     for job, benchmarks in groups.values():
         checker = runner if runner is not None else _new_runner(job)
-        disk = checker.disk_cache
-        assert disk is not None
         missing.extend(
-            (job, benchmark, disk)
+            (job, benchmark)
             for benchmark in benchmarks
             if checker.cached_alone(benchmark) is None
         )
@@ -360,18 +353,10 @@ def warm_baselines(
         len(missing),
         min(workers, len(missing)),
     )
-
-    def fold(index: int, deltas: dict[str, int]) -> None:
-        disk = missing[index][2]
-        for name, delta in deltas.items():
-            setattr(disk, name, getattr(disk, name) + delta)
-            GLOBAL_STATS[name] += delta
-
     unfinished = run_tasks(
         _warm_alone,
-        {index: (job, benchmark) for index, (job, benchmark, _) in enumerate(missing)},
+        dict(enumerate(missing)),
         workers,
-        on_result=fold,
         backend=missing[0][0].backend,
     )
     if unfinished:
@@ -411,8 +396,22 @@ def terminate_pool(pool: "ProcessPoolExecutor") -> None:
             pass
 
 
+def _discard(key: Hashable, value: Any) -> None:
+    pass
+
+
 def _reraise(key: Hashable, error: Exception) -> bool:
     raise error
+
+
+def _counted(
+    fn: Callable[..., Any], *args: Any
+) -> tuple[Any, dict[str, int | float]]:
+    """``fn(*args)`` in a pool worker, with the growth of the worker's
+    registry counters during the call."""
+    before = PROCESS.counts()
+    value = fn(*args)
+    return value, PROCESS.growth(before)
 
 
 def run_tasks(
@@ -420,7 +419,7 @@ def run_tasks(
     tasks: dict[Hashable, tuple],
     workers: int,
     *,
-    on_result: Callable[[Any, Any], None],
+    on_result: Callable[[Any, Any], None] = _discard,
     on_error: Callable[[Any, Exception], bool] = _reraise,
     on_requeue: Callable[[list], list] = list,
     fallback: Callable[[list], None] | None = None,
@@ -435,10 +434,19 @@ def run_tasks(
     with at most twice that many tasks submitted at a time: the next key
     goes in as a task finishes, so the parent's memory and the cost of
     each wait do not grow with the batch.  This process receives each
-    task's return value in ``on_result(key, value)`` and each task's own
+    task's return value in ``on_result(key, value)`` (the default drops
+    it) and each task's own
     exception in ``on_error(key, error)``, which returns True to resubmit
     the task (the default re-raises).  ``beat()``, when given, runs every
     ``beat_s`` seconds while the pool works.
+
+    Each task runs in its worker through one wrapper that returns the
+    task's value together with the growth of the worker's registry
+    counters (:data:`repro.obs.metrics.PROCESS`) during the task; this
+    process adds that growth to its own registry before ``on_result``
+    sees the value, so pooled jobs are counted like serial ones.  The
+    counts of a task that raises, and of a task whose worker dies, are
+    lost.
 
     An incident — a broken pool at submit or at result, or no task
     finishing within ``timeout_s`` — terminates the generation and passes
@@ -464,7 +472,7 @@ def run_tasks(
 
         def submit(key: Hashable) -> bool:
             try:
-                inflight[executor.submit(fn, *tasks[key])] = key
+                inflight[executor.submit(_counted, fn, *tasks[key])] = key
             except BrokenProcessPool:
                 return False
             return True
@@ -492,7 +500,7 @@ def run_tasks(
                     next_beat = now + beat_s
                 if not done:
                     if deadline is not None and now >= deadline:
-                        POOL_STATS["timeouts"] += 1
+                        PROCESS.counter("pool.timeouts").inc()
                         reason = f"no task finished within {timeout_s:g}s"
                     continue
                 if deadline is not None:
@@ -500,7 +508,7 @@ def run_tasks(
                 for future in done:
                     key = inflight.pop(future)
                     try:
-                        value = future.result()
+                        value, growth = future.result()
                     except BrokenProcessPool as exc:
                         reason = f"worker died: {exc}"
                     except Exception as exc:
@@ -510,6 +518,7 @@ def run_tasks(
                             reason = "pool broken at submit"
                     else:
                         del unfinished[key]
+                        PROCESS.merge({"counters": growth})
                         on_result(key, value)
                 if reason is None and not top_up():
                     reason = "pool broken at submit"
@@ -533,7 +542,7 @@ def run_tasks(
     incidents = 0
     while pending:
         if incidents:
-            POOL_STATS["respawns"] += 1
+            PROCESS.counter("pool.respawns").inc()
         reason, unfinished = generation(pending)
         if reason is None:
             break
@@ -547,7 +556,7 @@ def run_tasks(
             )
             return pending
         if pending and incidents >= POOL_INCIDENT_LIMIT:
-            POOL_STATS["serial_fallbacks"] += 1
+            PROCESS.counter("pool.serial_fallbacks").inc()
             logger.warning(
                 "worker pool failed %d times (%s); running %d unfinished "
                 "tasks in this process",
@@ -566,12 +575,13 @@ def run_tasks(
 
 
 def _log_cache_report() -> None:
-    """One-line disk-cache digest after a batch of jobs (submitting process
-    only; worker-side hits stay in the workers)."""
+    """One-line disk-cache digest after a batch of jobs (this process's
+    counts, pooled tasks' included)."""
+    counts = PROCESS.counts()
     logger.info(
         "disk cache: %d hits, %d misses, %d writes, %d quarantined",
-        GLOBAL_STATS["hits"],
-        GLOBAL_STATS["misses"],
-        GLOBAL_STATS["writes"],
-        GLOBAL_STATS["quarantined"],
+        counts["cache.hits"],
+        counts["cache.misses"],
+        counts["cache.writes"],
+        counts["cache.quarantined"],
     )

@@ -15,6 +15,7 @@ from repro.campaign.report import campaign_report, export_text, status_report
 from repro.campaign.spec import CampaignSpec, Variant, load_spec
 from repro.campaign.store import ResultStore
 from repro.config import baseline_system
+from repro.obs.metrics import PROCESS
 from repro.obs.trace import RingBufferSink, Tracer
 from repro.sim import pool
 from repro.sim.runner import ExperimentRunner
@@ -40,6 +41,11 @@ def test_run_campaign_completes_grid(tmp_path):
         assert store.counts(spec.fingerprint())["done"] == 4
 
 
+def _executed(before: dict) -> int:
+    """Simulations this process ran since ``before`` (a registry count)."""
+    return PROCESS.growth(before).get("pool.jobs_executed", 0)
+
+
 def test_interrupted_run_resumes_exactly(tmp_path):
     """--limit models an interruption; the resumed run must simulate
     only the missing cells (worker job counter proves it) and end with
@@ -48,24 +54,24 @@ def test_interrupted_run_resumes_exactly(tmp_path):
     db = tmp_path / "interrupted.sqlite"
 
     with ResultStore(db) as store:
-        pool.JOB_STATS["executed"] = 0
+        before = PROCESS.counts()
         stats = run_campaign(spec, store, jobs=1, limit=1)
         assert (stats.ran, stats.deferred) == (1, 3)
-        assert pool.JOB_STATS["executed"] == 1
+        assert _executed(before) == 1
         assert store.counts(spec.fingerprint())["done"] == 1
 
     with ResultStore(db) as store:  # "new process": fresh connection
-        pool.JOB_STATS["executed"] = 0
+        before = PROCESS.counts()
         stats = run_campaign(spec, store, jobs=1)
         assert (stats.ran, stats.skipped) == (3, 1)
-        assert pool.JOB_STATS["executed"] == 3  # nothing re-simulated
+        assert _executed(before) == 3  # nothing re-simulated
         assert store.counts(spec.fingerprint())["done"] == 4
 
     with ResultStore(db) as store:
-        pool.JOB_STATS["executed"] = 0
+        before = PROCESS.counts()
         stats = run_campaign(spec, store, jobs=1)
         assert (stats.ran, stats.skipped) == (0, 4)
-        assert pool.JOB_STATS["executed"] == 0
+        assert _executed(before) == 0
 
     # Byte-identical reports, interrupted+resumed vs uninterrupted.
     clean_db = tmp_path / "clean.sqlite"
@@ -190,6 +196,22 @@ def test_each_run_folds_only_its_own_counts(tmp_path):
         assert counters["pool.jobs_executed"] == jobs
         assert counters["worker.leases_claimed"] == jobs
         assert rows[name]["histograms"]["campaign.job_wall_s"]["count"] == jobs
+
+
+def test_pooled_run_counts_the_jobs_its_workers_ran(tmp_path, monkeypatch):
+    """Pool tasks carry their workers' counts home: a ``--jobs 2`` run on
+    a cold cache records every job its workers executed, and the cache
+    hits of workers reading the baselines warmed before the drain."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    spec = _spec()
+    before = PROCESS.counts()
+    with ResultStore(tmp_path / "pooled.sqlite") as store:
+        stats = run_campaign(spec, store, jobs=2)
+        counters = store.metrics(spec.fingerprint())["counters"]
+    assert (stats.ran, stats.failed) == (4, 0)
+    assert counters["pool.jobs_executed"] == counters["campaign.jobs_ran"] == 4
+    assert counters["cache.hits"] > 0
+    assert _executed(before) == 4
 
 
 @pytest.mark.parametrize("jobs, parent_reads", [(1, 7), (2, 4)])

@@ -18,6 +18,7 @@ from repro.campaign.store import ResultStore
 from repro.campaign.worker import drain_campaign
 from repro.envknobs import EnvKnobError
 from repro.guard.chaos import ChaosInjectedError, ChaosPlan, chaos_from_env
+from repro.obs.metrics import PROCESS
 from repro.sim import pool
 from repro.sim.diskcache import DiskCache
 
@@ -89,10 +90,11 @@ def test_corrupt_cache_entries_are_quarantined_and_recomputed(tmp_path):
     for i in range(4):
         cache.put("alone", f"entry{i}", {"ipc": float(i)})
     plan = _plan(tmp_path, "corrupt=1,seed=5")
+    before = PROCESS.counts()
     assert plan.corrupt_cache(cache) == 4
     for i in range(4):
         assert cache.get("alone", f"entry{i}") is None  # miss, not a crash
-    assert cache.quarantined == 4
+    assert PROCESS.growth(before)["cache.quarantined"] == 4
     # Quarantined files are renamed aside and excluded from entries().
     corpses = list((tmp_path / "cache").rglob("*.json.corrupt"))
     assert len(corpses) == 4
@@ -217,7 +219,12 @@ def test_chaos_campaign_report_matches_fault_free_golden(tmp_path, monkeypatch):
 
 # -- the no-progress timeout and Ctrl-C, on both pool callers ------------------
 def _pool_stats_delta(before: dict) -> dict:
-    return {name: pool.POOL_STATS[name] - before[name] for name in before}
+    """The ``pool.*`` incident counters that grew since ``before``."""
+    return {
+        name.removeprefix("pool."): grown
+        for name, grown in PROCESS.growth(before).items()
+        if name in ("pool.respawns", "pool.serial_fallbacks", "pool.timeouts")
+    }
 
 
 def _jobs(tmp_path) -> list[pool.SimJob]:
@@ -246,7 +253,7 @@ def test_run_jobs_hang_times_out_respawns_and_reaps(tmp_path, monkeypatch):
     jobs = _jobs(tmp_path)
     serial = [pool.run_job(job) for job in jobs]
     monkeypatch.setenv("REPRO_CHAOS", _plan(tmp_path, "hang=1,seed=11").spec())
-    before = dict(pool.POOL_STATS)
+    before = PROCESS.counts()
     assert pool.run_jobs(jobs, workers=2, job_timeout_s=2) == serial
     assert _pool_stats_delta(before) == HANG_STATS
     assert multiprocessing.active_children() == []
@@ -260,7 +267,7 @@ def test_campaign_hang_times_out_respawns_and_reaps(tmp_path, monkeypatch):
         run_campaign(spec, store, jobs=1)
         golden = export_text(spec, store, fmt="csv")
     plan = _plan(tmp_path, "hang=1,seed=11")
-    before = dict(pool.POOL_STATS)
+    before = PROCESS.counts()
     with ResultStore(tmp_path / "hang.sqlite") as store:
         stats = run_campaign(spec, store, jobs=2, chaos=plan, job_timeout_s=2)
         assert (stats.ran, stats.failed) == (4, 0)

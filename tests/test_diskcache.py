@@ -17,6 +17,7 @@ import pytest
 
 from repro.campaign.spec import spec_from_dict
 from repro.config import baseline_system
+from repro.obs.metrics import PROCESS
 from repro.sim.diskcache import DiskCache, content_key
 from repro.sim.runner import ExperimentRunner, _trace_payload
 
@@ -131,8 +132,9 @@ def test_trace_records_keep_their_keys_and_bytes(tmp_path, entry, key, digest):
     data = DiskCache(tmp_path)._path("trace", key).read_bytes()
     assert hashlib.sha256(data).hexdigest() == digest
     reader = runner()
+    before = PROCESS.counts()
     read = reader.trace_for(entry)
-    assert reader._disk.hits == 1
+    assert PROCESS.growth(before) == {"cache.hits": 1}
     assert (read.name, read.entries, read.ingest) == (
         written.name,
         written.entries,

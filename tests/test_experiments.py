@@ -132,6 +132,14 @@ def test_paper_values_complete():
             assert set(vals) == {"unfairness", "wspeedup", "hspeedup", "ast", "wc_latency"}
 
 
+def test_paper_hmean_speedups_are_in_the_metric_unit():
+    """``hmean_speedup`` is a harmonic mean of per-thread speedups (each
+    at most about 1), so every Table 4 entry lies in (0, 1]."""
+    for cores, table in TABLE4.items():
+        for scheduler, vals in table.items():
+            assert 0 < vals["hspeedup"] <= 1, (cores, scheduler)
+
+
 def test_format_table_alignment():
     text = format_table(["a", "bb"], [[1, 2.5], ["xyz", 3.25]])
     lines = text.splitlines()

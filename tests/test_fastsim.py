@@ -36,7 +36,7 @@ from repro.dram.request import MemoryRequest, RequestType
 from repro.envknobs import EnvKnobError
 from repro.events import EventQueue
 from repro.guard.invariants import Guard
-from repro.obs.metrics import collect_process_metrics, metrics_from_env
+from repro.obs.metrics import PROCESS, run_metrics
 from repro.sim import system as system_module
 from repro.sim.factory import SCHEDULER_NAMES, make_scheduler
 from repro.sim.pool import sim_progress
@@ -161,12 +161,12 @@ def test_run_leaves_metrics_registry_untouched(monkeypatch, backend):
     operational counter of the process as it found it, and disabling
     metrics changes no simulated count."""
     monkeypatch.delenv("REPRO_METRICS", raising=False)
-    assert metrics_from_env() is not None
-    before = collect_process_metrics().snapshot()
+    assert run_metrics() is not None
+    before = PROCESS.snapshot()
     enabled = _run(backend, "PAR-BS", 4, 0)
-    assert collect_process_metrics().snapshot() == before
+    assert PROCESS.snapshot() == before
     monkeypatch.setenv("REPRO_METRICS", "0")
-    assert metrics_from_env() is None
+    assert run_metrics() is None
     disabled = _run(backend, "PAR-BS", 4, 0)
     expected = _expected_work(backend, "PAR-BS", 4, 0)
     assert _work(enabled) == _work(disabled) == expected

@@ -20,14 +20,15 @@ import pytest
 from repro.envknobs import EnvKnobError
 from repro.obs.export import to_json, to_prometheus, write_snapshot
 from repro.obs.metrics import (
+    PROCESS,
+    PROCESS_COUNTERS,
     Histogram,
     MetricsRegistry,
-    collect_process_metrics,
+    RunMetrics,
     job_metrics,
     merge_job_metrics,
     metrics_enabled,
-    metrics_from_env,
-    reset_metrics,
+    run_metrics,
 )
 
 
@@ -37,14 +38,21 @@ def test_metrics_default_on_and_knob_off():
     assert metrics_enabled({"REPRO_METRICS": "1"}) is True
     assert metrics_enabled({"REPRO_METRICS": "0"}) is False
     assert metrics_enabled({"REPRO_METRICS": "off"}) is False
-    assert metrics_from_env({"REPRO_METRICS": "0"}) is None
-    assert isinstance(metrics_from_env({}), MetricsRegistry)
+    assert run_metrics({"REPRO_METRICS": "0"}) is None
+    assert isinstance(run_metrics({}), RunMetrics)
     with pytest.raises(EnvKnobError):
         metrics_enabled({"REPRO_METRICS": "maybe"})
 
 
-def test_registry_is_process_global():
-    assert metrics_from_env({}) is metrics_from_env({})
+def test_registry_is_process_global(tmp_path):
+    """Every layer counts into the one registry the package exports."""
+    from repro.obs import PROCESS as exported
+    from repro.sim.diskcache import DiskCache
+
+    assert exported is PROCESS
+    before = PROCESS.counts()
+    DiskCache(tmp_path).get("alone", "absent")
+    assert PROCESS.growth(before) == {"cache.misses": 1}
 
 
 # -- metric semantics ---------------------------------------------------------
@@ -148,41 +156,37 @@ def test_job_metrics_and_merge(monkeypatch):
     assert doubled == {name: 2 * value for name, value in blob.items()}
 
 
-def test_collect_process_metrics_namespaces():
-    reset_metrics()
-    registry = metrics_from_env({})
-    registry.counter("campaign.jobs_ran").inc(3)
-    snap = collect_process_metrics().snapshot()
-    assert snap["counters"]["campaign.jobs_ran"] == 3
-    # Pull-style collection folds the operational layers' native dicts in.
-    for name in (
-        "cache.hits",
-        "cache.misses",
-        "cache.pruned",
-        "pool.jobs_executed",
-        "pool.respawns",
-        "pool.serial_fallbacks",
-        "pool.timeouts",
-        "store.commit_retries",
-    ):
-        assert name in snap["counters"]
-    reset_metrics()
+def test_run_metrics_report_every_counter_and_only_growth(tmp_path):
+    """A run reports every declared counter, zeros included, with only
+    its own growth, plus what it recorded in its own registry."""
+    from repro.sim.diskcache import DiskCache
+
+    DiskCache(tmp_path).get("alone", "before-the-run")
+    run = run_metrics({})
+    run.registry.counter("campaign.jobs_ran").inc(3)
+    DiskCache(tmp_path).get("alone", "during-the-run")
+    counters = run.collect().snapshot()["counters"]
+    assert counters["campaign.jobs_ran"] == 3
+    assert counters["cache.misses"] == 1
+    assert set(PROCESS_COUNTERS) <= set(counters)
+    assert {counters[name] for name in PROCESS_COUNTERS} == {0, 1}
 
 
 _FRESH_SNAPSHOTS = """
 import json, sys
-from repro.obs.metrics import collect_process_metrics
-fresh = collect_process_metrics().snapshot()
+from repro.obs.metrics import PROCESS
+fresh = PROCESS.snapshot()
 unloaded = [m for m in ("repro.sim.pool", "repro.guard.chaos", "repro.guard.invariants")
             if m not in sys.modules]
 import repro.guard.chaos, repro.guard.invariants, repro.sim.pool
-print(json.dumps([unloaded, fresh, collect_process_metrics().snapshot()]))
+print(json.dumps([unloaded, fresh, PROCESS.snapshot()]))
 """
 
 
-def test_collect_process_metrics_loads_no_pool_or_guard(tmp_path):
-    """Collecting imports neither the pool nor the guard layer, and the
-    snapshot equals one taken with them loaded."""
+def test_process_registry_loads_no_pool_or_guard(tmp_path):
+    """The registry imports neither the pool nor the guard layer, starts
+    with every declared counter at 0, and importing those layers adds
+    nothing to it."""
     env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
     env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
     proc = subprocess.run(
@@ -196,7 +200,7 @@ def test_collect_process_metrics_loads_no_pool_or_guard(tmp_path):
     unloaded, fresh, loaded = json.loads(proc.stdout)
     assert len(unloaded) == 3
     assert fresh == loaded
-    assert "pool.respawns" in fresh["counters"]
+    assert fresh["counters"] == dict.fromkeys(sorted(PROCESS_COUNTERS), 0)
 
 
 # -- exporters ----------------------------------------------------------------

@@ -10,7 +10,8 @@ from collections import Counter
 import pytest
 
 from repro.config import baseline_system
-from repro.sim import diskcache, pool
+from repro.obs.metrics import PROCESS
+from repro.sim import pool
 from repro.sim.diskcache import DiskCache, cache_enabled, clear_cache, content_key
 from repro.sim.pool import SimJob, default_jobs, run_job, run_jobs
 from repro.sim.runner import ExperimentRunner
@@ -53,12 +54,26 @@ def test_content_key_stability_and_sensitivity():
     assert content_key([config, 1]) != content_key([baseline_system(8), 1])
 
 
+def _cache_growth(before: dict) -> dict:
+    """The ``cache.*`` counters that grew since ``before``, by how much."""
+    return {
+        name: grown
+        for name, grown in PROCESS.growth(before).items()
+        if name.startswith("cache.")
+    }
+
+
 def test_disk_cache_roundtrip_and_clear(tmp_path):
+    before = PROCESS.counts()
     cache = DiskCache(tmp_path)
     assert cache.get("alone", "k") is None
     cache.put("alone", "k", {"ipc": 1.25})
     assert cache.get("alone", "k") == {"ipc": 1.25}
-    assert cache.stats() == {"hits": 1, "misses": 1, "writes": 1, "quarantined": 0}
+    assert _cache_growth(before) == {
+        "cache.hits": 1,
+        "cache.misses": 1,
+        "cache.writes": 1,
+    }
     assert clear_cache(tmp_path) == 1
     assert cache.get("alone", "k") is None
 
@@ -120,10 +135,11 @@ def test_hit_touches_mtime_for_lru(tmp_path):
 
 def test_bounded_cache_prunes_opportunistically(tmp_path):
     cache = DiskCache(tmp_path, max_mb=0.05)  # 50 KB budget
+    before = PROCESS.counts()
     for i in range(DiskCache.PRUNE_EVERY):
         _put_sized(cache, "alone", f"k{i}", 10)
     # The PRUNE_EVERY-th put triggered a prune back under budget.
-    assert cache.pruned > 0
+    assert _cache_growth(before).get("cache.pruned", 0) > 0
     assert cache.size_bytes() <= 0.05 * 1024 * 1024
 
 
@@ -168,19 +184,21 @@ def test_parallel_matches_serial_bit_identical(tmp_path, serial_results):
 
 def test_second_run_hits_disk_cache(tmp_path, serial_results):
     cache_dir = tmp_path / "cache"
+    before = PROCESS.counts()
     first = ExperimentRunner(
         baseline_system(4), instructions=INSTRUCTIONS, cache_dir=cache_dir
     )
     r1 = first.compare_schedulers(WORKLOAD, SCHEDULERS)
-    assert first.disk_cache.writes > 0
+    assert _cache_growth(before).get("cache.writes", 0) > 0
 
+    before = PROCESS.counts()
     second = ExperimentRunner(
         baseline_system(4), instructions=INSTRUCTIONS, cache_dir=cache_dir
     )
     r2 = second.compare_schedulers(WORKLOAD, SCHEDULERS)
-    stats = second.disk_cache.stats()
-    assert stats["misses"] == 0 and stats["writes"] == 0
-    assert stats["hits"] > 0
+    stats = _cache_growth(before)
+    assert "cache.misses" not in stats and "cache.writes" not in stats
+    assert stats["cache.hits"] > 0
     assert r1 == r2 == serial_results
 
 
@@ -220,12 +238,11 @@ def test_run_many_mixed_specs_order(tmp_path, serial_results):
 
 
 def test_global_stats_accumulate(tmp_path):
-    before = dict(diskcache.GLOBAL_STATS)
+    before = PROCESS.counts()
     cache = DiskCache(tmp_path)
     cache.put("alone", "x", 1)
     cache.get("alone", "x")
-    assert diskcache.GLOBAL_STATS["writes"] == before["writes"] + 1
-    assert diskcache.GLOBAL_STATS["hits"] == before["hits"] + 1
+    assert _cache_growth(before) == {"cache.hits": 1, "cache.writes": 1}
 
 
 # -- the in-flight window ------------------------------------------------------
@@ -276,7 +293,7 @@ def test_run_tasks_keeps_twice_the_workers_in_flight(tmp_path, monkeypatch):
         requeued.append(keys)
         return keys
 
-    respawns = pool.POOL_STATS["respawns"]
+    before = PROCESS.counts()
     left = pool.run_tasks(
         _window_task,
         {key: (key, str(tmp_path)) for key in range(count)},
@@ -291,7 +308,7 @@ def test_run_tasks_keeps_twice_the_workers_in_flight(tmp_path, monkeypatch):
     assert resolved == Counter(range(count))
     assert failed == [7]
     assert len(requeued) == 1 and 23 in requeued[0]
-    assert pool.POOL_STATS["respawns"] == respawns + 1
+    assert PROCESS.growth(before)["pool.respawns"] == 1
 
 
 # -- wall-clock speedup (needs real cores) -------------------------------------

@@ -24,10 +24,11 @@ from dataclasses import replace
 import pytest
 
 from repro.campaign import queue as queue_module
-from repro.campaign.queue import QUEUE_STATS, LeaseQueue
+from repro.campaign.queue import LeaseQueue
 from repro.campaign.spec import CampaignSpec, Variant
 from repro.campaign.store import ResultStore
 from repro.config import baseline_system
+from repro.obs.metrics import PROCESS
 from repro.sim.runner import ExperimentRunner
 
 
@@ -161,13 +162,13 @@ def test_expired_lease_is_reclaimed_and_reissued(store):
     # (only 3 of the 4 jobs remain claimable).
     assert live.claim_next([lost.key]) is None
     clock.advance(10.0)  # deadline is inclusive: <= now means expired
-    before = QUEUE_STATS["leases_reclaimed"]
+    before = PROCESS.counts()
     regained = live.claim_next([lost.key])
     assert regained is not None
     assert regained.key == lost.key
     assert regained.attempt == lost.attempt + 1  # fencing token advanced
     assert regained.reclaimed and not lost.reclaimed
-    assert QUEUE_STATS["leases_reclaimed"] == before + 1
+    assert PROCESS.growth(before)["worker.leases_reclaimed"] == 1
     assert store.reclaim_count(fp) == 1
 
 
@@ -199,10 +200,10 @@ def test_fenced_double_complete_is_rejected(store, result):
     assert fresh.key == stale.key
     assert b.complete(fresh, result, wall_time_s=2.0)
     # A resurrects: renewal and commit are both fenced out.
-    before = QUEUE_STATS["leases_fenced"]
+    before = PROCESS.counts()
     assert a.heartbeat(stale) is None
     assert not a.complete(stale, result, wall_time_s=99.0)
-    assert QUEUE_STATS["leases_fenced"] == before + 2
+    assert PROCESS.growth(before)["worker.leases_fenced"] == 2
     # B's commit stands untouched: one attempt, B's wall time.
     row = store._conn.execute(
         "SELECT status, attempts, wall_time_s FROM jobs WHERE key = ?",
@@ -213,6 +214,24 @@ def test_fenced_double_complete_is_rejected(store, result):
         1,
         2.0,
     )
+
+
+def test_perfbench_view_reads_the_fenced_count(store):
+    """``repro.campaign.QUEUE_STATS`` (read by name by perfbench's
+    spans) is a live view of the registry's ``worker.*`` counters."""
+    from repro.campaign import QUEUE_STATS, STORE_STATS
+
+    clock = Clock()
+    fp = _spec().fingerprint()
+    a = LeaseQueue(store, fp, worker_id="a", lease_s=10.0, clock=clock)
+    b = LeaseQueue(store, fp, worker_id="b", lease_s=10.0, clock=clock)
+    stale = a.claim_next(_keys())
+    clock.advance(11.0)
+    assert b.claim_next([stale.key]) is not None
+    fenced = QUEUE_STATS["leases_fenced"]
+    assert a.heartbeat(stale) is None
+    assert QUEUE_STATS["leases_fenced"] == fenced + 1
+    assert STORE_STATS["commit_retries"] == PROCESS.counts()["store.commit_retries"]
 
 
 def test_stale_worker_cannot_fail_or_release_either(store):
@@ -287,12 +306,13 @@ def test_batched_claim_reclaims_an_expired_lease(store):
     lost = dead.claim_next(keys[1:2])
     live = LeaseQueue(store, fp, worker_id="live", lease_s=10.0, clock=clock)
     clock.advance(10.0)
-    before = dict(QUEUE_STATS)
+    before = PROCESS.counts()
     leases = live.claim(keys)
     assert [lease.key for lease in leases] == keys
-    assert QUEUE_STATS["leases_reclaimed"] == before["leases_reclaimed"] + 1
-    assert QUEUE_STATS["leases_expired"] == before["leases_expired"] + 1
-    assert QUEUE_STATS["leases_claimed"] == before["leases_claimed"] + len(keys)
+    grown = PROCESS.growth(before)
+    assert grown["worker.leases_reclaimed"] == 1
+    assert grown["worker.leases_expired"] == 1
+    assert grown["worker.leases_claimed"] == len(keys)
     assert store.reclaim_count(fp) == 1
     regained = next(lease for lease in leases if lease.key == lost.key)
     assert regained.attempt == lost.attempt + 1

@@ -26,7 +26,7 @@ from repro.campaign.serde import result_to_json
 from repro.campaign.spec import CampaignSpec, Variant
 from repro.campaign.store import SCHEMA_VERSION, ResultStore
 from repro.config import baseline_system
-from repro.sim import pool
+from repro.obs.metrics import PROCESS
 from repro.sim.runner import ExperimentRunner
 
 FIXTURE = Path(__file__).parent / "fixtures" / "schema_v2.sql"
@@ -146,10 +146,11 @@ def test_resume_simulates_only_missing_jobs(v2_db):
     before = _dump_jobs(v2_db)
     done_key = spec.expand()[0].key
     with ResultStore(v2_db) as store:
-        pool.JOB_STATS["executed"] = 0
+        counts = PROCESS.counts()
         stats = run_campaign(spec, store, jobs=1)
         assert (stats.ran, stats.skipped, stats.failed) == (3, 1, 0)
-        assert pool.JOB_STATS["executed"] == 3  # the v2 row was not re-run
+        # The v2 row was not re-run.
+        assert PROCESS.growth(counts)["pool.jobs_executed"] == 3
         assert store.counts(spec.fingerprint())["done"] == 4
         # The run pinned a manifest and progress rows for what it ran.
         assert store.manifest(spec.fingerprint()) is not None

@@ -25,7 +25,8 @@ from repro.campaign.report import export_text
 from repro.campaign.spec import CampaignSpec, Variant
 from repro.campaign.store import ResultStore
 from repro.config import baseline_system
-from repro.sim import diskcache, pool
+from repro.obs.metrics import PROCESS
+from repro.sim import pool
 from repro.sim.diskcache import DiskCache
 from repro.sim.runner import ExperimentRunner
 
@@ -115,6 +116,7 @@ def test_run_many_writes_each_baseline_once(tmp_path, put_log):
     ).compare_schedulers(WORKLOAD, SCHEDULERS)
     cache_dir = tmp_path / "cache"
     runner = _runner(cache_dir)
+    before = PROCESS.counts()
     parallel = runner.compare_schedulers(WORKLOAD, SCHEDULERS, jobs=2)
     assert parallel == serial
     files = _alone_files(cache_dir)
@@ -122,10 +124,10 @@ def test_run_many_writes_each_baseline_once(tmp_path, put_log):
     writes = put_log()
     assert sorted(writes) == [path.stem for path in files]
     assert set(writes.values()) == {1}
-    # The warm workers' cache traffic is credited to the calling runner.
-    stats = runner.disk_cache.stats()
-    assert stats["misses"] >= len(set(WORKLOAD))
-    assert stats["writes"] >= len(set(WORKLOAD))
+    # The warm workers' cache traffic reaches this process's registry.
+    grown = PROCESS.growth(before)
+    assert grown["cache.misses"] >= len(set(WORKLOAD))
+    assert grown["cache.writes"] >= len(set(WORKLOAD))
 
 
 def test_run_campaign_writes_each_baseline_once(
@@ -161,11 +163,12 @@ def test_warm_cache_forks_nothing(tmp_path, monkeypatch, calling_runner):
     monkeypatch.setattr(
         "concurrent.futures.process.ProcessPoolExecutor", _NoExecutor
     )
+    before = PROCESS.counts()
     pool.warm_baselines(
         _sim_jobs(checker), 2, runner=checker if calling_runner else None
     )
     if calling_runner:
-        assert checker.disk_cache.stats()["hits"] == len(WORKLOAD)
+        assert PROCESS.growth(before)["cache.hits"] == len(WORKLOAD)
 
 
 def _exit_warm(job, benchmark):
@@ -205,18 +208,14 @@ def test_baseline_exception_propagates_like_serial(tmp_path, monkeypatch):
 
 
 def test_warm_counters_reach_global_stats(tmp_path):
-    before = dict(diskcache.GLOBAL_STATS)
+    """The warm workers' cache counts reach this process's registry."""
     runner = _runner(tmp_path / "cache")
+    before = PROCESS.counts()
     pool.warm_baselines(_sim_jobs(runner), 2, runner=runner)
-    after = diskcache.GLOBAL_STATS
     # Each baseline: one miss in the parent's check, one in the worker's
     # alone() and one on its trace; two writes (trace and baseline).
     count = len(WORKLOAD)
-    assert after["misses"] - before["misses"] == 3 * count
-    assert after["writes"] - before["writes"] == 2 * count
-    assert runner.disk_cache.stats() == {
-        "hits": 0,
-        "misses": 3 * count,
-        "writes": 2 * count,
-        "quarantined": 0,
+    assert PROCESS.growth(before) == {
+        "cache.misses": 3 * count,
+        "cache.writes": 2 * count,
     }

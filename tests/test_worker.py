@@ -266,19 +266,15 @@ def test_max_jobs_caps_the_pool_drain(tmp_path):
         assert store.leases_for(keys) == {}
 
 
-def test_each_drain_folds_its_counters_into_the_campaign_row(tmp_path, monkeypatch):
-    """A drain that returns folds its process's counters into the
-    campaign row, so ``campaign work`` records them as ``campaign run``
-    does and the row sums every worker's claims.  Each drain stands for
-    one worker process, whose counters start at zero."""
-    from repro.campaign.queue import QUEUE_STATS
-
+def test_each_drain_folds_its_counters_into_the_campaign_row(tmp_path):
+    """A drain that returns folds what its process counted during the
+    drain into the campaign row, so ``campaign work`` records it as
+    ``campaign run`` does and the row sums every worker's claims.  Each
+    drain stands for one worker process."""
     spec = _spec()
     claimed = []
     with ResultStore(tmp_path / "fold.sqlite") as store:
         for worker_id, max_jobs in (("a", 1), ("b", None)):
-            for name in QUEUE_STATS:
-                monkeypatch.setitem(QUEUE_STATS, name, 0)
             stats = drain_campaign(
                 spec, store, worker_id=worker_id, max_jobs=max_jobs
             )
