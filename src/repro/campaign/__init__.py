@@ -59,7 +59,7 @@ __getattr__, __dir__ = lazy_exports(
             "default_db_path",
         ),
         ".watch": ("merged_metrics", "watch_counts", "watch_report"),
-        ".worker": ("LeaseLost", "WorkerStats", "drain_campaign"),
+        ".worker": ("WorkerStats", "drain_campaign"),
     },
 )
 
@@ -67,7 +67,6 @@ __all__ = [
     "CampaignJob",
     "CampaignSpec",
     "Lease",
-    "LeaseLost",
     "LeaseQueue",
     "MANIFEST_VERSION",
     "QUEUE_STATS",

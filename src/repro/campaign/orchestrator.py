@@ -9,11 +9,11 @@ every distributed ``campaign work`` process runs.  A plain
 ``campaign work`` processes at the same database and they share the grid
 through the queue with no orchestrator involvement.
 
-With more than one worker and the disk cache on, the run first computes
-the alone-run baselines its missing jobs need, across the same worker
-count (:func:`repro.sim.pool.warm_baselines`), so the drain's workers
-read them from the cache instead of each recomputing them.  Baselines
-already cached are only checked; a warm cache forks nothing for them.
+With more than one worker and the disk cache on, the drain first
+computes the alone-run baselines its jobs need, across the same worker
+count (:func:`repro.sim.pool.warm_baselines`), so its workers read them
+from the cache instead of each recomputing them.  Baselines already
+cached are only checked; a warm cache forks nothing for them.
 
 Each completion is committed to the store in its own (fenced)
 transaction *as it arrives*, so a ``Ctrl-C``, crash or machine reboot
@@ -171,8 +171,7 @@ def run_campaign(
             )
         else:
             from ..obs.config import TraceConfig
-            from ..sim import pool
-            from .worker import drain_campaign, sim_job
+            from .worker import drain_campaign
 
             trace = TraceConfig.from_env() or TraceConfig()
             cache_dir = str(default_cache_dir()) if cache_enabled() else None
@@ -181,10 +180,6 @@ def run_campaign(
                 # quarantine + recompute path runs under this campaign,
                 # not a later one.
                 chaos.corrupt_cache(DiskCache(cache_dir))
-            if workers > 1:
-                pool.warm_baselines(
-                    [sim_job(job, trace, cache_dir) for job in to_run], workers
-                )
             drained = drain_campaign(
                 spec,
                 store,

@@ -11,10 +11,11 @@ single campaign without losing or duplicating a result:
   ``lease_seq`` counter; that value is the worker's *fencing token* for
   this execution.
 * **heartbeat** — renew the lease deadline periodically while the
-  simulation runs (wired into the simulator's watchdog checkpoint via
+  simulation runs (the executor's beat; in-process it rides the
+  simulator's watchdog checkpoint via
   :func:`repro.sim.pool.sim_progress`).  Renewal is fenced: if the lease
   was reclaimed and re-issued, the stale worker gets ``None`` back and
-  must abandon the job.
+  drops the job's result when it arrives.
 * **reclaim** — any worker may delete leases whose deadline passed
   (the owner died or hung) and re-claim the jobs.  The owning campaign's
   ``reclaims`` counter records each reissue for ``campaign watch``.

@@ -11,23 +11,26 @@ into a drain loop that both entry points share:
   this same loop against the shared store, claiming jobs the others
   haven't.
 
-The loop per iteration: reclaim expired leases (dead/hung peers), settle
-keys that peers finished, claim runnable jobs in grid order (the serial
-drain one at a time, the pool drain all of them in one transaction), and
-execute each under a heartbeat — the simulator's watchdog checkpoint
-renews the lease mid-simulation via :func:`repro.sim.pool.sim_progress`,
-so a lease outlives any job whose worker is actually alive.  Completion
-is fenced by :meth:`LeaseQueue.complete`: if this worker was presumed
-dead and its job reclaimed, the commit is rejected and the job's fate
-belongs to the reclaiming peer (``lost`` in :class:`WorkerStats`).
+A drain with more than one worker first computes the alone baselines
+its pending jobs need across the same worker count
+(:func:`repro.sim.pool.warm_baselines`), so its workers read them from
+the disk cache instead of each recomputing them.
 
-Job-level failures are retried locally with capped exponential backoff
-(``retries`` attempts, one policy for the serial and the pool drain).
-With ``jobs > 1`` the claimed batch runs through the shared process-pool
-executor (:func:`repro.sim.pool.run_tasks`), which owns the pool
-generations, no-progress timeouts, respawns and the in-process fallback;
-this module supplies the fenced commit, the retry policy, lease renewal
-as the executor's beat, and the release of held leases on ``Ctrl-C``.
+The loop per iteration: reclaim expired leases (dead/hung peers), settle
+keys that peers finished, claim runnable jobs in grid order (one lease
+with one worker, as many as the budget allows with more, in one
+transaction), and run them through :func:`repro.sim.pool.run_tasks` —
+in this process with one worker, over a process pool otherwise.  The
+executor owns the pool generations, no-progress timeouts, respawns and
+the move to this process after repeated incidents; this module supplies
+the fenced commit, the retry policy (``retries`` attempts with capped
+exponential backoff), lease renewal as the executor's beat — in this
+process the simulator's progress hook drives it, so a lease outlives
+any job whose worker is actually alive — and the release of held leases
+on ``Ctrl-C``.  Completion is fenced by :meth:`LeaseQueue.complete`: if
+this worker was presumed dead and its job reclaimed, the result is
+dropped and the job's fate belongs to the reclaiming peer (``lost`` in
+:class:`WorkerStats`).
 
 The drain owns the run's bookkeeping for both entry points: its
 :class:`WorkerStats` is what the orchestrator's ``RunStats`` is built
@@ -41,11 +44,12 @@ from __future__ import annotations
 import logging
 import time
 from contextlib import nullcontext
+from functools import cache
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from ..config import baseline_system
-from ..guard.chaos import ChaosPlan
+from ..guard.chaos import ChaosInjectedError, ChaosPlan
 from ..metrics.summary import WorkloadResult
 from ..obs.config import TraceConfig
 from ..obs.metrics import RunMetrics, run_metrics
@@ -58,16 +62,11 @@ from .store import ResultStore
 if TYPE_CHECKING:  # pragma: no cover
     from ..obs.trace import Probe
 
-__all__ = ["LeaseLost", "WorkerStats", "drain_campaign"]
+__all__ = ["WorkerStats", "drain_campaign"]
 
 logger = logging.getLogger(__name__)
 
 _MAX_BACKOFF_S = 8.0
-
-
-class LeaseLost(RuntimeError):
-    """This worker's lease was reclaimed mid-job: abandon the job (its
-    fate belongs to whoever holds the live lease now)."""
 
 
 @dataclass
@@ -82,7 +81,7 @@ class WorkerStats:
     requeued: int = 0  # jobs requeued after a pool incident
     reclaimed: int = 0  # expired peer leases this worker reclaimed
     fenced: int = 0  # own commits rejected by the fencing token
-    lost: int = 0  # jobs abandoned mid-run (lease reclaimed)
+    lost: int = 0  # results dropped: lease reclaimed mid-run
     foreign_done: int = 0  # jobs a peer completed while we drained
     failed_elsewhere: int = 0  # jobs a peer failed while we waited
     left_leased: int = 0  # jobs still leased to live peers at exit
@@ -91,10 +90,15 @@ class WorkerStats:
         return self.completed + self.failed
 
 
+# One (frozen) configuration per core count, shared by every job
+# description a drain holds instead of a copy per job.
+_baseline = cache(baseline_system)
+
+
 def sim_job(job: CampaignJob, trace: TraceConfig, cache_dir: str | None) -> SimJob:
     """The picklable pool description of one grid cell."""
     return SimJob(
-        config=baseline_system(job.num_cores),
+        config=_baseline(job.num_cores),
         workload=job.workload,
         scheduler=job.scheduler,
         scheduler_kwargs=job.kwargs_dict(),
@@ -108,8 +112,7 @@ def sim_job(job: CampaignJob, trace: TraceConfig, cache_dir: str | None) -> SimJ
 
 
 class _Drain:
-    """One worker's drain of one campaign (state shared by the serial and
-    pool paths)."""
+    """One worker's drain of one campaign."""
 
     def __init__(
         self,
@@ -298,92 +301,39 @@ class _Drain:
             )
         return frozen
 
-    # -- one leased execution (serial / fallback path) ------------------------
-    def _heartbeat_tick(self, lease_box: list[Lease], frozen: bool):
-        next_beat = [time.monotonic() + self.heartbeat_s]
-
-        def tick(_events: int) -> None:
-            if frozen:
-                return
-            now = time.monotonic()
-            if now < next_beat[0]:
-                return
-            renewed = self.queue.heartbeat(lease_box[0])
-            if renewed is None:
-                raise LeaseLost(lease_box[0].key)
-            lease_box[0] = renewed
-            next_beat[0] = now + self.heartbeat_s
-
-        return tick
-
-    def _run_leased(self, lease: Lease) -> None:
-        """Execute one claimed job with local retries, heartbeats, and a
-        fenced commit.  Resolves the key unless the lease was lost."""
-        job = self.by_key[lease.key]
-        sim = sim_job(job, self.trace, self.cache_dir)
-        lease_box = [lease]
-        tick = self._heartbeat_tick(lease_box, self._frozen(lease.key))
-        for attempt in range(self.retries + 1):
-            try:
-                if self.chaos is not None:
-                    self.chaos.maybe_kill_leaseholder(
-                        lease.key, hard=self.hard_kill
-                    )
-                with pool.sim_progress(tick):
-                    result, wall, worker_pid = pool.run_job_timed(sim)
-            except LeaseLost:
-                self.stats.lost += 1
-                logger.warning(
-                    "worker %s: lease on %s reclaimed mid-run; abandoning",
-                    self.queue.worker_id,
-                    lease.key[:12],
-                )
-                return
-            except KeyboardInterrupt:
-                # Best-effort: hand the job straight back to the queue
-                # instead of making peers wait out the lease.
-                self.queue.release(lease_box[0])
-                raise
-            except Exception as exc:
-                renewed = self._after_error(lease_box[0], exc, attempt)
-                if renewed is None:
-                    return
-                lease_box[0] = renewed
-            else:
-                self._commit(lease_box[0], result, wall, attempt, worker_pid)
-                return
-
     # -- the drain loop ---------------------------------------------------------
-    def _claim(self, pooled: bool) -> dict[str, Lease]:
-        """Claim runnable jobs in grid order: as many as the budget allows
-        in one transaction for the pool drain, the next one for the
-        serial drain."""
-        if pooled:
-            leases = self.queue.claim(self.unresolved, self._budget())
-        else:
-            lease = self.queue.claim_next(self.unresolved)
-            leases = [lease] if lease is not None else []
+    def _claim(self) -> dict[str, Lease]:
+        """Claim runnable jobs in grid order in one transaction: the next
+        one with one worker, as many as the budget allows with more."""
+        leases = self.queue.claim(
+            self.unresolved, 1 if self.jobs == 1 else self._budget()
+        )
         self.stats.claimed += len(leases)
         self.stats.reclaimed += sum(lease.reclaimed for lease in leases)
         return {lease.key: lease for lease in leases}
 
+    def _warm(self) -> None:
+        """Compute the alone baselines of the pending jobs within the
+        budget across the drain's workers."""
+        keys = self.unresolved[: self._budget()]
+        pool.warm_baselines(
+            [sim_job(self.by_key[key], self.trace, self.cache_dir) for key in keys],
+            self.jobs,
+        )
+
     def run(self) -> WorkerStats:
-        budget = self._budget()
-        work = len(self.unresolved)
-        pooled = self.jobs > 1 and (work if budget is None else min(budget, work)) > 1
+        if self.jobs > 1:
+            self._warm()
         idle_logged = False
         while self.unresolved and self._budget() != 0:
             self._reclaim()
             self._settle_foreign()
             if not self.unresolved:
                 break
-            held = self._claim(pooled)
+            held = self._claim()
             if held:
                 idle_logged = False
-                if pooled:
-                    self._run_held(held)
-                else:
-                    self._run_leased(*held.values())
+                self._run(held)
                 continue
             # Everything left is done (settled next pass) or leased to a
             # live peer: wait for them — their lease expiry is our upper
@@ -406,9 +356,8 @@ class _Drain:
             time.sleep(self.poll_s)
         return self.stats
 
-    # -- pool drain -----------------------------------------------------------
-    def _run_held(self, held: dict[str, Lease]) -> None:
-        """Run the claimed jobs over the shared pool executor; ``held``
+    def _run(self, held: dict[str, Lease]) -> None:
+        """Run the claimed jobs through the shared executor; ``held``
         keeps the leases of the jobs not yet resolved."""
         frozen = {key for key in held if self._frozen(key)}
         attempts = dict.fromkeys(held, 0)
@@ -455,11 +404,16 @@ class _Drain:
                     key[:12],
                 )
 
-        def fallback(keys: list[str]) -> None:
-            for key in keys:
-                self._run_leased(held.pop(key))
-
         try:
+            if self.chaos is not None:
+                # A leasekill fault strikes right after the claim: a
+                # top-level worker exits, an in-process drain charges it
+                # to the job's first attempt.
+                for key in list(held):
+                    try:
+                        self.chaos.maybe_kill_leaseholder(key, hard=self.hard_kill)
+                    except ChaosInjectedError as exc:
+                        on_error(key, exc)
             pool.run_tasks(
                 pool.run_job_timed,
                 {
@@ -470,7 +424,6 @@ class _Drain:
                 on_result=on_result,
                 on_error=on_error,
                 on_requeue=on_requeue,
-                fallback=fallback,
                 timeout_s=self.job_timeout_s,
                 beat=renew,
                 beat_s=self.heartbeat_s,
@@ -524,16 +477,18 @@ def drain_campaign(
     receives one ``campaign.job`` event per resolved job.
 
     ``jobs`` fans execution over a local process pool while
-    claims/heartbeats/commits stay in this process.  ``chaos`` is
-    exported to ``REPRO_CHAOS`` for the drain and set on the store.
-    ``hard_kill`` marks a top-level ``campaign work`` process: chaos
-    ``leasekill`` faults exit hard (leaving the lease to expire) instead
-    of raising.  ``wait_for_peers=False`` returns as soon as every
-    remaining job is leased to a live peer instead of polling until they
-    settle.  ``max_jobs`` bounds how many jobs this call resolves
-    locally, serial or pooled.  A drain that returns folds what its run
-    counted into the campaign row: ``metrics`` when the caller started
-    the run earlier, else what the process counted since the drain began.
+    claims/heartbeats/commits stay in this process; with more than one,
+    the drain first warms the alone baselines of the jobs it may run.
+    ``chaos`` is exported to ``REPRO_CHAOS`` for the drain and set on the
+    store.  ``hard_kill`` marks a top-level ``campaign work`` process:
+    chaos ``leasekill`` faults exit hard (leaving the lease to expire)
+    instead of counting as the job's first failed attempt.
+    ``wait_for_peers=False`` returns as soon as every remaining job is
+    leased to a live peer instead of polling until they settle.
+    ``max_jobs`` bounds how many jobs this call resolves locally.  A
+    drain that returns folds what its run counted into the campaign row:
+    ``metrics`` when the caller started the run earlier, else what the
+    process counted since the drain began.
     """
     if chaos is not None:
         store.chaos = chaos

@@ -71,10 +71,11 @@ class ChaosPlan:
       entries are truncated or overwritten with garbage.
     * ``sqlite`` — selected campaign-store commits raise
       ``sqlite3.OperationalError("database is locked")`` once.
-    * ``leasekill`` — a distributed campaign worker dies hard right after
-      claiming a selected job's lease (``campaign work`` processes
-      ``os._exit``; in-process drains raise :class:`ChaosInjectedError`),
-      leaving the lease to expire and be reclaimed by a peer.
+    * ``leasekill`` — a campaign worker dies hard right after claiming a
+      selected job's lease, on serial and pooled drains alike
+      (``campaign work`` processes ``os._exit``, leaving the lease to
+      expire and be reclaimed by a peer; in-process drains raise
+      :class:`ChaosInjectedError`, charged to the job's first attempt).
     * ``hbfreeze`` — a selected job's lease heartbeats stop renewing for
       the rest of that execution (the worker keeps simulating), so the
       lease expires mid-run and the eventual commit is fenced off.
@@ -258,7 +259,7 @@ class ChaosPlan:
         parent to observe a ``BrokenProcessPool``): the process exits 137
         and its lease is left to expire so a peer worker reclaims the
         job.  In-process drains raise :class:`ChaosInjectedError`, which
-        the worker loop charges as an ordinary retry.
+        the drain charges to the job's first attempt, so it is retried.
         """
         if self.fire_once("leasekill", key):
             if hard:

@@ -94,16 +94,6 @@ class NfqScheduler(Scheduler):
         total = sum(self.weights.get(t, 1.0) for t in range(self.num_threads))
         return weight / total if total > 0 else 1.0 / self.num_threads
 
-    def _estimated_cost(self, request: MemoryRequest) -> int:
-        """Estimated service cost: row-hit latency if the thread's previous
-        request to this bank targeted the same row, conflict cost otherwise."""
-        idx = (
-            request.thread_id * self._nch + request.channel
-        ) * self._nbanks + request.bank
-        if self._last_row_flat[idx] == request.row:
-            return self._hit_cost
-        return self._miss_cost
-
     def on_enqueue(self, request: MemoryRequest, now: int) -> None:
         tid = request.thread_id
         idx = (tid * self._nch + request.channel) * self._nbanks + request.bank

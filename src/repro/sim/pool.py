@@ -5,19 +5,21 @@ scheduler) simulations, so experiment throughput scales with cores: this
 module fans :class:`SimJob` descriptions out over worker processes and
 merges results deterministically.
 
-:func:`run_tasks` is the one process-pool executor.  It owns a pool's
-whole lifetime: the simulator preload, one pool per generation (the
+:func:`run_tasks` is the one way a batch of tasks runs.  With one worker
+or one task it runs them in this process, driving the caller's beat from
+the simulator's progress hook.  Otherwise it owns a process pool's whole
+lifetime: the simulator preload, one pool per generation (the
 process-pool module is imported only when one starts), at most twice the
 pool's size of tasks in flight, the wait loop with its no-progress
-timeout and optional beat, teardown, respawn after an incident (a worker
-died, or nothing finished in time), the in-process fallback after
-:data:`POOL_INCIDENT_LIMIT` incidents, and every ``pool.*`` count of the
-process registry (:data:`repro.obs.metrics.PROCESS`); each task carries
-the growth of its worker's counters home.  Its three callers supply only
-what differs:
+timeout and beat, teardown, respawn after an incident (a worker died, or
+nothing finished in time), and the move to this process after
+:data:`POOL_INCIDENT_LIMIT` incidents.  Either way every task's counts
+land in the process registry (:data:`repro.obs.metrics.PROCESS`): a
+pooled task carries the growth of its worker's counters home.  Its three
+callers supply only what differs:
 
 * :func:`run_jobs` (``ExperimentRunner.run_many``) collects results by
-  index and falls back to :func:`run_job`;
+  index and retries an injected fault once;
 * :func:`warm_baselines` computes alone baselines into the disk cache and
   gives up on the first incident, leaving the jobs to compute them;
 * the campaign drain (:mod:`repro.campaign.worker`) commits each result
@@ -38,8 +40,8 @@ persistent on-disk cache (:mod:`repro.sim.diskcache`) shares alone-run
 baselines and generated traces across workers and across repeated runs.
 
 The worker count comes from ``--jobs N`` on the CLI, the ``REPRO_JOBS``
-environment variable, or the ``jobs=`` argument; the default of 1 keeps
-the serial path byte-for-byte unchanged.
+environment variable, or the runner's ``jobs=`` argument; the default of
+1 runs everything in this process.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ import logging
 import os
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, wait
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import TYPE_CHECKING, Any, Callable, Hashable, Sequence
@@ -188,10 +190,10 @@ def sim_progress(callback):
 
     The hook fires at the simulator watchdog checkpoint (every
     ``_WATCHDOG_CHECK_EVENTS`` events, i.e. a few times per second of
-    wall time), which is what campaign workers use to renew work-queue
-    lease heartbeats *while* a long simulation runs — not just between
-    jobs.  Exceptions raised by the callback propagate out of the
-    simulation like any simulation error (the lease-lost abort path).
+    wall time), which is how :func:`run_tasks` beats *while* a long
+    simulation runs in this process — not just between tasks.
+    Exceptions raised by the callback propagate out of the simulation
+    like any simulation error.
     """
     from . import system as _system
 
@@ -218,7 +220,7 @@ def preload_simulator(backend: str | None = None) -> None:
 
 
 def run_job(job: SimJob) -> "WorkloadResult":
-    """Execute one job (also the in-process serial fallback path)."""
+    """Execute one job, in a pool worker or in this process."""
     chaos = chaos_from_env()
     if chaos is not None:
         # Fault injection: a selected job kills/hangs its worker process
@@ -248,48 +250,41 @@ def run_jobs(
     workers: int | None = None,
     job_timeout_s: float | None = None,
 ) -> list["WorkloadResult"]:
-    """Run ``jobs``, fanning out over ``workers`` processes.
+    """Run ``jobs`` over ``workers`` processes (:func:`run_tasks`) and
+    return their results in submission order.
 
-    Results are returned in submission order.  With ``workers <= 1`` (or
-    a single job) everything runs in-process, bypassing the pool.
-
-    The parallel path degrades gracefully (see :func:`run_tasks`): a
-    broken pool or a no-progress timeout (``job_timeout_s`` /
-    ``REPRO_JOB_TIMEOUT_S``) retries only the unfinished jobs, in a new
+    A broken pool or a no-progress timeout (``job_timeout_s`` /
+    ``REPRO_JOB_TIMEOUT_S``) reruns only the unfinished jobs, in a new
     pool and finally in this process.  Completed results are never lost,
-    and determinism is preserved — retried jobs are pure functions of
-    their description.  A job's own exception propagates.
+    and determinism is preserved — rerun jobs are pure functions of their
+    description.  An injected fault raised in this process
+    (:class:`ChaosInjectedError`) is retried once; any other exception a
+    job raises propagates.
     """
     jobs = list(jobs)
     if workers is None:
         workers = default_jobs()
     if job_timeout_s is None:
         job_timeout_s = default_job_timeout()
-    if workers <= 1 or len(jobs) <= 1:
-        results = [run_job(job) for job in jobs]
-        _log_cache_report()
-        return results
-    workers = min(workers, len(jobs))
-    logger.info("running %d simulations over %d worker processes", len(jobs), workers)
     by_index: dict[int, "WorkloadResult"] = {}
+    retried: set[int] = set()
 
-    def fallback(indexes: list[int]) -> None:
-        for index in indexes:
-            try:
-                by_index[index] = run_job(jobs[index])
-            except ChaosInjectedError:
-                # The injection marker fired before the raise, so one
-                # retry runs clean.
-                by_index[index] = run_job(jobs[index])
+    def retry_injected(index: int, error: Exception) -> bool:
+        # The injection marker fired before the raise, so one retry runs
+        # clean.
+        if not isinstance(error, ChaosInjectedError) or index in retried:
+            raise error
+        retried.add(index)
+        return True
 
     run_tasks(
         run_job,
         {index: (job,) for index, job in enumerate(jobs)},
         workers,
         on_result=by_index.__setitem__,
-        fallback=fallback,
+        on_error=retry_injected,
         timeout_s=job_timeout_s,
-        backend=jobs[0].backend,
+        backend=jobs[0].backend if jobs else None,
     )
     _log_cache_report()
     return [by_index[index] for index in range(len(jobs))]
@@ -315,14 +310,16 @@ def warm_baselines(
     cache for each distinct one, through ``runner`` (the calling runner,
     whose parameterization every job shares) or else a fresh runner per
     parameterization, and sends only the missing ones to a short-lived
-    pool, so a warm cache forks nothing.  The workers' cache counts reach
-    this process's registry with each task (see :func:`run_tasks`).
+    pool (one missing baseline runs in this process), so a warm cache
+    forks nothing.  The workers' cache counts reach this process's
+    registry with each task (see :func:`run_tasks`).
 
     A baseline's own exception propagates unchanged.  A broken pool (a
-    worker died) is logged and tolerated, with no respawn and nothing run
-    in this process: the jobs then compute any baseline still missing
-    under their own retry and incident handling.  Jobs without a disk
-    cache have nothing to share and are skipped.
+    worker died) is logged and tolerated: nothing is requeued, so there
+    is no respawn and nothing runs in this process, and the jobs compute
+    any baseline still missing under their own retry and incident
+    handling.  Jobs without a disk cache have nothing to share and are
+    skipped.
     """
     groups: dict[tuple, tuple[SimJob, dict[str, None]]] = {}
     for job in jobs:
@@ -348,22 +345,22 @@ def warm_baselines(
         )
     if not missing:
         return
-    logger.info(
-        "computing %d alone baselines over %d worker processes",
-        len(missing),
-        min(workers, len(missing)),
-    )
-    unfinished = run_tasks(
+    logger.info("computing %d alone baselines", len(missing))
+
+    def give_up(keys: list) -> list:
+        logger.warning(
+            "baseline pool broke; jobs compute %d missing baselines themselves",
+            len(keys),
+        )
+        return []
+
+    run_tasks(
         _warm_alone,
         dict(enumerate(missing)),
         workers,
+        on_requeue=give_up,
         backend=missing[0][0].backend,
     )
-    if unfinished:
-        logger.warning(
-            "baseline pool broke; jobs compute %d missing baselines themselves",
-            len(unfinished),
-        )
 
 
 def terminate_pool(pool: "ProcessPoolExecutor") -> None:
@@ -422,43 +419,69 @@ def run_tasks(
     on_result: Callable[[Any, Any], None] = _discard,
     on_error: Callable[[Any, Exception], bool] = _reraise,
     on_requeue: Callable[[list], list] = list,
-    fallback: Callable[[list], None] | None = None,
     timeout_s: float | None = None,
     beat: Callable[[], None] | None = None,
     beat_s: float = 0.0,
     backend: str | None = None,
-) -> list:
-    """Run ``fn(*tasks[key])`` for every key over process-pool generations.
+) -> None:
+    """Run ``fn(*tasks[key])`` for every key, in this process or over
+    process-pool generations.
 
-    Each generation is one pool of ``min(workers, unfinished)`` processes
-    with at most twice that many tasks submitted at a time: the next key
-    goes in as a task finishes, so the parent's memory and the cost of
-    each wait do not grow with the batch.  This process receives each
-    task's return value in ``on_result(key, value)`` (the default drops
-    it) and each task's own
-    exception in ``on_error(key, error)``, which returns True to resubmit
-    the task (the default re-raises).  ``beat()``, when given, runs every
-    ``beat_s`` seconds while the pool works.
+    This process receives each task's return value in
+    ``on_result(key, value)`` (the default drops it) and each task's own
+    exception in ``on_error(key, error)``, which returns True to run the
+    task again (the default re-raises).  ``beat()``, when given, runs
+    every ``beat_s`` seconds while the tasks run.
 
-    Each task runs in its worker through one wrapper that returns the
-    task's value together with the growth of the worker's registry
-    counters (:data:`repro.obs.metrics.PROCESS`) during the task; this
-    process adds that growth to its own registry before ``on_result``
-    sees the value, so pooled jobs are counted like serial ones.  The
-    counts of a task that raises, and of a task whose worker dies, are
-    lost.
+    With ``workers <= 1`` or a single task, the tasks run one after
+    another in this process, and ``beat`` is driven by the simulator's
+    progress hook (:func:`sim_progress`) and between tasks.  No process
+    pool is imported or started.
+
+    Otherwise each generation is one pool of ``min(workers, unfinished)``
+    processes with at most twice that many tasks submitted at a time: the
+    next key goes in as a task finishes, so the parent's memory and the
+    cost of each wait do not grow with the batch.  Each task runs in its
+    worker through one wrapper that returns the task's value together
+    with the growth of the worker's registry counters
+    (:data:`repro.obs.metrics.PROCESS`) during the task; this process
+    adds that growth to its own registry before ``on_result`` sees the
+    value, so pooled tasks are counted like in-process ones.  The counts
+    of a task that raises, and of a task whose worker dies, are lost.
 
     An incident — a broken pool at submit or at result, or no task
     finishing within ``timeout_s`` — terminates the generation and passes
     its unfinished keys through ``on_requeue``, which returns those still
-    wanted.  Without a ``fallback`` the executor stops there and returns
-    them.  With one, it starts a new pool for them, and after
-    :data:`POOL_INCIDENT_LIMIT` incidents calls ``fallback(keys)`` to run
-    them in this process instead; it then returns an empty list.
+    wanted.  A new pool runs them, and after :data:`POOL_INCIDENT_LIMIT`
+    incidents they run in this process instead.
 
     Any other exception, ``KeyboardInterrupt`` included, terminates the
     workers and propagates.
     """
+
+    def run_here(keys: list) -> None:
+        """Run ``keys`` one after another in this process."""
+        next_beat = time.monotonic() + beat_s
+
+        def tick(_events: int = 0) -> None:
+            nonlocal next_beat
+            now = time.monotonic()
+            if beat is not None and now >= next_beat:
+                beat()
+                next_beat = now + beat_s
+
+        with sim_progress(tick) if beat is not None else nullcontext():
+            for key in keys:
+                while True:
+                    try:
+                        value = fn(*tasks[key])
+                    except Exception as exc:
+                        if not on_error(key, exc):
+                            break
+                    else:
+                        on_result(key, value)
+                        break
+                tick()
 
     def generation(keys: list) -> tuple[str | None, list]:
         """One pool lifetime: the incident, if any, and the keys left."""
@@ -537,41 +560,39 @@ def run_tasks(
             terminate_pool(executor)
         return reason, list(unfinished)
 
-    preload_simulator(backend)
     pending = list(tasks)
+    if workers <= 1 or len(pending) <= 1:
+        run_here(pending)
+        return
+    preload_simulator(backend)
+    logger.info(
+        "running %d tasks over %d worker processes",
+        len(pending),
+        min(workers, len(pending)),
+    )
     incidents = 0
-    while pending:
+    while pending and incidents < POOL_INCIDENT_LIMIT:
         if incidents:
             PROCESS.counter("pool.respawns").inc()
         reason, unfinished = generation(pending)
         if reason is None:
-            break
+            return
         incidents += 1
         pending = on_requeue(unfinished)
-        if fallback is None:
-            logger.warning(
-                "worker pool incident (%s); %d tasks left unfinished",
-                reason,
-                len(pending),
-            )
-            return pending
-        if pending and incidents >= POOL_INCIDENT_LIMIT:
-            PROCESS.counter("pool.serial_fallbacks").inc()
-            logger.warning(
-                "worker pool failed %d times (%s); running %d unfinished "
-                "tasks in this process",
-                incidents,
-                reason,
-                len(pending),
-            )
-            fallback(pending)
-            break
         logger.warning(
-            "worker pool incident (%s); respawning pool for %d unfinished tasks",
+            "worker pool incident (%s); %d unfinished tasks requeued",
             reason,
             len(pending),
         )
-    return []
+    if pending:
+        PROCESS.counter("pool.serial_fallbacks").inc()
+        logger.warning(
+            "worker pool failed %d times; running %d unfinished tasks in "
+            "this process",
+            incidents,
+            len(pending),
+        )
+        run_here(pending)
 
 
 def _log_cache_report() -> None:

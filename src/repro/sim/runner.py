@@ -30,6 +30,7 @@ from typing import Any, Sequence
 
 from ..config import SystemConfig, baseline_system, default_instructions
 from ..cpu.trace import Trace, TraceEntry, TraceIngestStats
+from ..envknobs import default_jobs
 from ..guard import guard_from_env
 from ..metrics.summary import ThreadResult, WorkloadResult
 from ..obs import JsonlSink, Telemetry, TraceConfig, Tracer
@@ -609,35 +610,23 @@ class ExperimentRunner:
         compare_results(reference_result, shadow_result)
 
     # -- parallel fan-out ---------------------------------------------------------
-    def effective_jobs(self, jobs: int | None = None) -> int:
-        """Worker count: explicit argument, the runner's setting, then
-        ``REPRO_JOBS`` (default 1 = serial)."""
-        from .pool import default_jobs
-
-        if jobs is not None:
-            return max(1, jobs)
-        if self.jobs is not None:
-            return max(1, self.jobs)
-        return default_jobs()
-
     def run_many(
-        self,
-        specs: Sequence[tuple[list[str], str, dict[str, Any]]],
-        jobs: int | None = None,
+        self, specs: Sequence[tuple[list[str], str, dict[str, Any]]]
     ) -> list[WorkloadResult]:
         """Run many ``(workload, scheduler name, scheduler kwargs)`` specs,
-        fanning out over worker processes when ``jobs > 1``.
+        fanning out over the runner's ``jobs`` worker processes (default
+        ``REPRO_JOBS``) when there are more than one.
 
         Results come back in spec order and are bit-identical to running
         the same specs serially: every simulation is a pure function of
         its description, and alone-run baselines are warmed into the
         shared on-disk cache first so every worker reads the same values.
-        The missing baselines run across the same ``jobs`` workers
+        The missing baselines run across the same workers
         (:func:`~repro.sim.pool.warm_baselines`); a warm cache forks
         nothing for them.
         """
         specs = list(specs)
-        workers = self.effective_jobs(jobs)
+        workers = max(1, self.jobs) if self.jobs is not None else default_jobs()
         if workers <= 1 or len(specs) <= 1:
             return [
                 self.run_workload(list(workload), name, **kwargs)
@@ -670,17 +659,16 @@ class ExperimentRunner:
         workload: list[str],
         schedulers: list[str] | None = None,
         scheduler_kwargs: dict[str, dict] | None = None,
-        jobs: int | None = None,
     ) -> dict[str, WorkloadResult]:
         """Run ``workload`` under several schedulers (paper's five by
         default) and return results keyed by scheduler name.  Scheduler
-        runs are independent, so they parallelize when ``jobs > 1``."""
+        runs are independent, so they parallelize over the runner's
+        ``jobs`` workers."""
         from .factory import SCHEDULER_NAMES
 
         names = schedulers or SCHEDULER_NAMES
         kwargs = scheduler_kwargs or {}
         results = self.run_many(
-            [(list(workload), name, kwargs.get(name, {})) for name in names],
-            jobs=jobs,
+            [(list(workload), name, kwargs.get(name, {})) for name in names]
         )
         return dict(zip(names, results))

@@ -34,8 +34,8 @@ _WATCHDOG_CHECK_EVENTS = 1 << 18
 # Optional long-run progress callback, invoked with the running event
 # count at every watchdog checkpoint (so roughly every couple of seconds
 # of simulation, never per event).  Installed/restored via
-# :func:`repro.sim.pool.sim_progress`; campaign workers use it to renew
-# work-queue lease heartbeats while a long simulation runs.  ``None``
+# :func:`repro.sim.pool.sim_progress`; the in-process executor beats on
+# it, so campaign drains renew their leases while a long simulation runs.  ``None``
 # (the default) adds nothing to the hot loop beyond the existing
 # checkpoint slow path.
 PROGRESS_HOOK = None

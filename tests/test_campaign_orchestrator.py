@@ -253,9 +253,9 @@ def test_aggregate_via_campaign_matches_direct_run_many(tmp_path):
         )
     mixes = random_mixes(4, count=1, seed=42)
     specs = [(mix, scheduler, {}) for mix in mixes for scheduler in SCHEDULERS]
-    runner = ExperimentRunner(baseline_system(4), instructions=20_000)
+    runner = ExperimentRunner(baseline_system(4), instructions=20_000, jobs=1)
     per_mix = {scheduler: [] for scheduler in SCHEDULERS}
-    for (_mix, scheduler, _kwargs), result in zip(specs, runner.run_many(specs, jobs=1)):
+    for (_mix, scheduler, _kwargs), result in zip(specs, runner.run_many(specs)):
         per_mix[scheduler].append(result)
     assert via_campaign.mixes == mixes
     assert via_campaign.per_mix == per_mix

@@ -388,11 +388,10 @@ def test_pool_fast_backend_serial_parallel_identical(tmp_path):
             baseline_system(4),
             instructions=INSTRUCTIONS,
             seed=0,
+            jobs=jobs,
             cache_dir=tmp_path / tag,
             backend="fast",
         )
-        return runner.compare_schedulers(
-            list(WORKLOADS[4]), ["FR-FCFS", "PAR-BS"], jobs=jobs
-        )
+        return runner.compare_schedulers(list(WORKLOADS[4]), ["FR-FCFS", "PAR-BS"])
 
     assert run(1, "serial") == run(2, "parallel")

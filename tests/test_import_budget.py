@@ -246,9 +246,9 @@ _RUN_MANY = (
     "from repro.config import baseline_system\n"
     "from repro.sim.runner import ExperimentRunner\n"
     "runner = ExperimentRunner(baseline_system(4), instructions=1000,\n"
-    "                          backend='fast', cache_dir=None)\n"
+    "                          backend='fast', cache_dir=None, jobs={jobs})\n"
     "runner.run_many([(['mcf', 'libquantum', 'omnetpp', 'hmmer'], name, dict())\n"
-    "                 for name in ('FR-FCFS', 'PAR-BS')], jobs={jobs})"
+    "                 for name in ('FR-FCFS', 'PAR-BS')])"
 )
 
 

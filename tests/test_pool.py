@@ -229,10 +229,11 @@ def test_run_many_mixed_specs_order(tmp_path, serial_results):
     runner = ExperimentRunner(
         baseline_system(4),
         instructions=INSTRUCTIONS,
+        jobs=2,
         cache_dir=tmp_path / "cache",
     )
     specs = [(WORKLOAD, name, {}) for name in reversed(SCHEDULERS)]
-    results = runner.run_many(specs, jobs=2)
+    results = runner.run_many(specs)
     assert [r.scheduler for r in results] == list(reversed(SCHEDULERS))
     assert results[-1] == serial_results[SCHEDULERS[0]]
 
@@ -278,7 +279,6 @@ def test_run_tasks_keeps_twice_the_workers_in_flight(tmp_path, monkeypatch):
     resolved: Counter = Counter()
     failed: list[int] = []
     requeued: list[list[int]] = []
-    fell_back: list[int] = []
 
     def on_result(key: int, value: int) -> None:
         assert value == key * key
@@ -294,21 +294,88 @@ def test_run_tasks_keeps_twice_the_workers_in_flight(tmp_path, monkeypatch):
         return keys
 
     before = PROCESS.counts()
-    left = pool.run_tasks(
+    pool.run_tasks(
         _window_task,
         {key: (key, str(tmp_path)) for key in range(count)},
         workers,
         on_result=on_result,
         on_error=on_error,
         on_requeue=on_requeue,
-        fallback=fell_back.extend,
     )
-    assert left == [] and fell_back == []
+    grown = PROCESS.growth(before)
+    assert grown.get("pool.serial_fallbacks", 0) == 0
     assert max(in_flight) == 2 * workers
     assert resolved == Counter(range(count))
     assert failed == [7]
     assert len(requeued) == 1 and 23 in requeued[0]
-    assert PROCESS.growth(before)["pool.respawns"] == 1
+    assert grown["pool.respawns"] == 1
+
+
+# -- in this process -----------------------------------------------------------
+def _no_pool(*args, **kwargs):
+    raise AssertionError("one worker must not start a pool")
+
+
+def test_run_tasks_beats_from_the_progress_hook_in_process(monkeypatch):
+    """With one worker the task runs here, and the beat fires while the
+    simulation runs, from the simulator's progress hook."""
+    monkeypatch.setattr("concurrent.futures.process.ProcessPoolExecutor", _no_pool)
+    # Reach the simulator's progress checkpoint within a short run.
+    monkeypatch.setattr("repro.sim.system._WATCHDOG_CHECK_EVENTS", 1000)
+    job = SimJob(
+        config=baseline_system(4),
+        workload=tuple(WORKLOAD),
+        scheduler="FR-FCFS",
+        instructions=INSTRUCTIONS,
+    )
+    beats: list[str] = []
+    results: dict[str, object] = {}
+
+    def beat() -> None:
+        # A beat outside a running simulation would see no result yet.
+        beats.append("running" if "job" not in results else "after")
+
+    pool.run_tasks(
+        pool.run_job,
+        {"job": (job,)},
+        1,
+        on_result=results.__setitem__,
+        beat=beat,
+        beat_s=0.0,
+    )
+    assert results["job"] == run_job(job)
+    assert "running" in beats
+
+
+def test_run_tasks_reruns_a_resubmitted_key_in_process(monkeypatch):
+    monkeypatch.setattr("concurrent.futures.process.ProcessPoolExecutor", _no_pool)
+    calls: Counter = Counter()
+
+    def flaky(key: int) -> int:
+        calls[key] += 1
+        if key == 1 and calls[key] == 1:
+            raise RuntimeError("first attempt fails")
+        return key * key
+
+    results: dict[int, int] = {}
+    errors: list[int] = []
+
+    def on_error(key: int, error: Exception) -> bool:
+        errors.append(key)
+        return True
+
+    before = PROCESS.counts()
+    pool.run_tasks(
+        flaky,
+        {key: (key,) for key in range(3)},
+        1,
+        on_result=results.__setitem__,
+        on_error=on_error,
+    )
+    assert results == {0: 0, 1: 1, 2: 4}
+    assert errors == [1]
+    assert calls == Counter({0: 1, 1: 2, 2: 1})
+    assert PROCESS.growth(before).get("pool.serial_fallbacks", 0) == 0
 
 
 # -- wall-clock speedup (needs real cores) -------------------------------------
@@ -317,8 +384,11 @@ def test_run_tasks_keeps_twice_the_workers_in_flight(tmp_path, monkeypatch):
 )
 def test_parallel_wall_clock_speedup(tmp_path):
     cache_dir = tmp_path / "cache"
-    runner = ExperimentRunner(
-        baseline_system(4), instructions=60_000, cache_dir=cache_dir
+    runner, pooled = (
+        ExperimentRunner(
+            baseline_system(4), instructions=60_000, jobs=jobs, cache_dir=cache_dir
+        )
+        for jobs in (1, 4)
     )
     # Warm alone baselines + traces so both timings measure only the
     # shared-run simulations.
@@ -326,11 +396,11 @@ def test_parallel_wall_clock_speedup(tmp_path):
         runner.alone(benchmark)
 
     start = time.perf_counter()
-    serial = runner.compare_schedulers(WORKLOAD, jobs=1)
+    serial = runner.compare_schedulers(WORKLOAD)
     t_serial = time.perf_counter() - start
 
     start = time.perf_counter()
-    parallel = runner.compare_schedulers(WORKLOAD, jobs=4)
+    parallel = pooled.compare_schedulers(WORKLOAD)
     t_parallel = time.perf_counter() - start
 
     assert parallel == serial

@@ -101,11 +101,11 @@ def test_trace_files_identical_serial_vs_parallel(tmp_path):
     serial_dir = tmp_path / "serial"
     parallel_dir = tmp_path / "parallel"
 
-    serial = make_runner(trace=TraceConfig(dir=str(serial_dir)))
-    serial_results = serial.run_many(SPECS, jobs=1)
+    serial = make_runner(trace=TraceConfig(dir=str(serial_dir)), jobs=1)
+    serial_results = serial.run_many(SPECS)
 
-    parallel = make_runner(trace=TraceConfig(dir=str(parallel_dir)))
-    parallel_results = parallel.run_many(SPECS, jobs=2)
+    parallel = make_runner(trace=TraceConfig(dir=str(parallel_dir)), jobs=2)
+    parallel_results = parallel.run_many(SPECS)
 
     serial_files = sorted(p.name for p in serial_dir.glob("*.jsonl"))
     parallel_files = sorted(p.name for p in parallel_dir.glob("*.jsonl"))

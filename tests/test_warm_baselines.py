@@ -24,6 +24,7 @@ from repro.campaign.orchestrator import run_campaign
 from repro.campaign.report import export_text
 from repro.campaign.spec import CampaignSpec, Variant
 from repro.campaign.store import ResultStore
+from repro.campaign.worker import drain_campaign
 from repro.config import baseline_system
 from repro.obs.metrics import PROCESS
 from repro.sim import pool
@@ -56,9 +57,9 @@ def golden_csv(tmp_path_factory):
         return export_text(spec, store, fmt="csv")
 
 
-def _runner(cache_dir) -> ExperimentRunner:
+def _runner(cache_dir, jobs: int | None = None) -> ExperimentRunner:
     return ExperimentRunner(
-        baseline_system(4), instructions=INSTRUCTIONS, cache_dir=cache_dir
+        baseline_system(4), instructions=INSTRUCTIONS, jobs=jobs, cache_dir=cache_dir
     )
 
 
@@ -115,9 +116,9 @@ def test_run_many_writes_each_baseline_once(tmp_path, put_log):
         baseline_system(4), instructions=INSTRUCTIONS, jobs=1, cache_dir=None
     ).compare_schedulers(WORKLOAD, SCHEDULERS)
     cache_dir = tmp_path / "cache"
-    runner = _runner(cache_dir)
+    runner = _runner(cache_dir, jobs=2)
     before = PROCESS.counts()
-    parallel = runner.compare_schedulers(WORKLOAD, SCHEDULERS, jobs=2)
+    parallel = runner.compare_schedulers(WORKLOAD, SCHEDULERS)
     assert parallel == serial
     files = _alone_files(cache_dir)
     assert len(files) == len(set(WORKLOAD))
@@ -146,6 +147,24 @@ def test_run_campaign_writes_each_baseline_once(
     writes = put_log()
     assert sorted(writes) == [path.stem for path in files]
     assert set(writes.values()) == {1}
+
+
+def test_pooled_drain_writes_each_cache_entry_once(tmp_path):
+    """A pooled ``campaign work`` drain warms the baselines before its
+    workers race for them, so a cold cache is written once per entry."""
+    spec = CampaignSpec(
+        name="cold",
+        variants=tuple(Variant(name, name) for name in ("FCFS", "FR-FCFS", "NFQ", "PAR-BS")),
+        mix_count=2,
+        instructions=20_000,
+    )
+    cache_dir = tmp_path / "cache"
+    before = PROCESS.counts()
+    with ResultStore(tmp_path / "drain.sqlite") as store:
+        stats = drain_campaign(spec, store, jobs=2, cache_dir=str(cache_dir))
+    assert (stats.completed, stats.failed) == (len(spec.expand()), 0)
+    entries = DiskCache(cache_dir).entries()
+    assert PROCESS.growth(before)["cache.writes"] == len(entries)
 
 
 class _NoExecutor:
@@ -198,9 +217,9 @@ def test_baseline_exception_propagates_like_serial(tmp_path, monkeypatch):
     monkeypatch.setattr(ExperimentRunner, "alone", _raising_alone)
     specs = [(WORKLOAD, name, {}) for name in SCHEDULERS]
     with pytest.raises(BaselineError):
-        _runner(tmp_path / "serial").run_many(specs, jobs=1)
+        _runner(tmp_path / "serial", jobs=1).run_many(specs)
     with pytest.raises(BaselineError):
-        _runner(tmp_path / "parallel").run_many(specs, jobs=2)
+        _runner(tmp_path / "parallel", jobs=2).run_many(specs)
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "campaign"))
     with ResultStore(tmp_path / "db.sqlite") as store:
         with pytest.raises(BaselineError):

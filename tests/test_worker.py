@@ -6,8 +6,8 @@ The acceptance bar for the work-queue engine:
   campaign to the same bytes a single golden worker produces — no job
   runs twice, no job is lost;
 * a ``leasekill`` chaos fault (worker dies right after claiming) costs
-  nothing: the in-process drain retries and the campaign still matches
-  the golden export;
+  nothing: the serial and the pooled drain both retry and the campaign
+  still matches the golden export;
 * the resurrection scenario: a worker whose heartbeats are frozen
   (``hbfreeze``) loses its lease mid-simulation, a peer reclaims and
   commits, and the original worker's late commit is fenced off — the
@@ -90,14 +90,16 @@ def test_two_workers_drain_to_golden_bytes(tmp_path, golden):
         assert export_text(spec, store, fmt="csv") == golden
 
 
-def test_leasekill_chaos_is_retried_in_process(tmp_path, golden):
-    """An in-process drain hit by leasekill faults (one per job) retries
-    each job locally and still completes the campaign bit-for-bit."""
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_leasekill_chaos_is_retried_in_process(tmp_path, golden, jobs):
+    """A drain hit by leasekill faults (one per job, right after each
+    claim), serial or pooled, retries each job locally and still
+    completes the campaign bit-for-bit."""
     spec = _spec()
     chaos = ChaosPlan.parse(f"leasekill=1,dir={tmp_path / 'markers'}")
     with ResultStore(tmp_path / "lk.sqlite") as store:
         stats = drain_campaign(
-            spec, store, worker_id="victim", chaos=chaos, retries=2
+            spec, store, worker_id="victim", chaos=chaos, retries=2, jobs=jobs
         )
         assert stats.completed == len(spec.expand())
         assert stats.failed == 0
