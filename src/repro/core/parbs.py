@@ -221,7 +221,7 @@ class ParBsScheduler(Scheduler):
     @property
     def pack_key(self):  # type: ignore[override]
         # Not bound in ``__init__``: a stored bound method is a reference
-        # cycle.  Readers fetch it once per run or per key repack.
+        # cycle.  Readers fetch it per key push or repack.
         if self.within_batch == "par":
             return self._pack_key_ranked
         return self._pack_key_plain

@@ -488,18 +488,7 @@ class Core:
                     (entry.address, entry.is_write, load)
                 )
                 return
-        # ``_send`` inlined (it stays a method for the dep-waiter path).
-        if load is None:
-            self.memory.access(self.thread_id, entry.address, True, None)
-            return
-        fast = self._fast_access
-        if fast is not None:
-            fast(self.thread_id, entry.address, False, self._on_data_cb, load)
-            return
-        self.memory.access(
-            self.thread_id, entry.address, False,
-            lambda load=load: self._on_data(load),
-        )
+        self._send(entry.address, entry.is_write, load)
 
     def _send(self, address: int, is_write: bool, load: _PendingLoad | None) -> None:
         """Issue the actual memory request for a dispatched access."""
@@ -509,7 +498,7 @@ class Core:
         assert load is not None
         fast = self._fast_access
         if fast is not None:
-            fast(self.thread_id, address, False, self._on_data_cb, load)
+            fast(self.thread_id, address, self._on_data_cb, load)
             return
         self.memory.access(
             self.thread_id, address, False, lambda load=load: self._on_data(load)

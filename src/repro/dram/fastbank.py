@@ -4,11 +4,12 @@
 of the memory system in flat parallel arrays — open row, busy-until,
 activate time, write recovery, per-channel bus occupancy and command-slot
 state — indexed by the global bank id ``kid = channel * num_banks + bank``.
-The per-access :meth:`service` method implements exactly the command-layout
-math of :meth:`Bank.service <repro.dram.bank.Bank.service>` +
-:meth:`DataBus.reserve <repro.dram.bus.DataBus.reserve>`, but against array
-slots instead of object attribute chains, which is what the fast
-controller's fused issue path runs on.
+The per-access :meth:`service_tuple` method implements exactly the
+command-layout math of :meth:`Bank.service <repro.dram.bank.Bank.service>`
++ :meth:`DataBus.reserve <repro.dram.bus.DataBus.reserve>`, but against
+array slots instead of object attribute chains.  The fast controller's
+fused issue path calls it once per access, and ``tests/test_fastsim.py``
+checks it against the object model.
 
 The arrays are plain Python lists: at the paper's 8 banks/channel,
 ``lst[kid]`` is both flat and cheap.  They are the state of record while
@@ -21,8 +22,6 @@ either way.
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
-
-from .bank import AccessOutcome
 
 if TYPE_CHECKING:  # pragma: no cover
     from .channel import Channel
@@ -91,24 +90,19 @@ class FastDramState:
         self.last_command: list[int] = [-timing.tCK] * num_channels
 
     # -- the per-access timing kernel --------------------------------------
-    def service(
-        self, kid: int, channel_id: int, row: int, is_write: bool, now: int
-    ) -> AccessOutcome:
-        """Service one request on bank ``kid``: bit-identical to
-        ``Bank.service`` + ``DataBus.reserve`` against the arrays."""
-        return AccessOutcome(*self.service_tuple(kid, channel_id, row, is_write, now))
-
     def service_tuple(
         self, kid: int, channel_id: int, row: int, is_write: bool, now: int
     ) -> tuple:
-        """:meth:`service` returning the raw timeline tuple.
+        """Service one request on bank ``kid``: bit-identical to
+        ``Bank.service`` + ``DataBus.reserve`` against the arrays.
 
-        The tuple field order is exactly ``AccessOutcome.as_tuple()`` —
-        ``(start, data_start, completion, bank_free, row_result,
-        precharge_at, activate_at, cas_at)`` — so the fast controller can
-        consume timestamps as tuple indexes and construct the
-        :class:`AccessOutcome` object only when something (guard, tracer,
-        an outcome-reading scheduler, the command log) will read it.
+        Returns the timeline as a tuple in exactly the field order of
+        ``AccessOutcome.as_tuple()`` — ``(start, data_start, completion,
+        bank_free, row_result, precharge_at, activate_at, cas_at)`` — so
+        the fast controller can consume timestamps as tuple indexes and
+        construct the :class:`~repro.dram.bank.AccessOutcome` object only
+        when something (guard, tracer, an outcome-reading scheduler, the
+        command log) will read it.
         """
         busy_until = self.busy_until[kid]
         start = now if now >= busy_until else busy_until
@@ -171,14 +165,6 @@ class FastDramState:
             activate_at,
             cas_at,
         )
-
-    def try_command_slot(self, channel_id: int, now: int) -> int:
-        """``Channel.try_command_slot`` against the flat command-slot array."""
-        slot = self.last_command[channel_id] + self.timing.tCK
-        if slot <= now:
-            self.last_command[channel_id] = now
-            return now
-        return slot
 
     # -- verify / reporting interop ---------------------------------------
     def state_tuple(self, kid: int) -> tuple:

@@ -34,9 +34,15 @@ cost of each event:
   events_elided``), and the surviving events draw their sequence numbers
   at the same relative points — command streams stay bit-identical.
 
-The scheduler hooks, guard hooks and trace probes are the *same objects
-and call sites* as the python path — the strict guard's shadow DDR
-checker certifies the fast kernel exactly as it does the reference one.
+Each step of the read path is one call to the method the kernel tests
+check: ``BankReads.add`` and ``FastBankSched.push`` at enqueue,
+``Scheduler.select_indexed`` for every contended packed decision,
+``FastBankSched.remove`` at issue, ``FastDramState.service_tuple`` for
+the timeline and ``ThreadMemStats.service_started``/``service_finished``
+for the stats.  The scheduler hooks, guard hooks and trace probes are the
+*same objects and call sites* as the python path — the strict guard's
+shadow DDR checker certifies the fast kernel exactly as it does the
+reference one.
 
 :class:`FastDramPort` is the matching core-side adapter: it memoizes
 address → (channel, bank, row) decodes and exposes a ``fast_access``
@@ -149,22 +155,9 @@ class FastMemoryController(MemoryController):
         # Scalar timing constants, pre-resolved off the attribute chain.
         self._tCK = config.timing.tCK
         self._overhead = config.timing.overhead
-        # A policy that keeps the base ``select_indexed`` gets it inlined
-        # in the wake path (same statements, minus two call frames per
-        # arbitration); one that overrides it (NFQ) is called normally.
-        self._generic_select = cls.select_indexed is _Base.select_indexed
-        self._refresh_index = (
-            scheduler.refresh_index
-            if cls.refresh_index is not _Base.refresh_index
-            else None
-        )
         # Packed-key protocol: a policy with ``pack_key`` arbitrates on
         # the kernel, one without it on its ``select`` scan.
-        # ``index_uses_row`` is fixed at construction for every policy;
-        # STFM's runtime prefix flips are read live.
-        self._pack_key = scheduler.pack_key
-        self._packed = self._pack_key is not None
-        self._uses_row = scheduler.index_uses_row
+        self._packed = scheduler.pack_key is not None
         # Wake events elided by arming enqueue-time wakes directly at the
         # bank-free time (see module docstring); ``events_processed +
         # events_elided`` equals the python backend's event count, so each
@@ -196,55 +189,16 @@ class FastMemoryController(MemoryController):
         # once turns that into a plain attribute load.
         self._wake_kid_cb = self._wake_kid
         self._complete_cb = self._complete
-        # ``_complete`` instrumentation (telemetry, probe, guard, policy
-        # hook) folded into two flags: the lean path (nothing attached)
-        # pays a single test, and the hook-only path (a policy completion
-        # hook but no observability — PAR-BS/STFM/NFQ in a plain run)
-        # calls the hook without re-probing telemetry/tracer/guard.
-        self._complete_lean = (
-            telemetry is None
-            and tracer is None
-            and guard is None
-            and self._hook_complete is None
-        )
-        self._complete_hook_only = (
-            telemetry is None
-            and tracer is None
-            and guard is None
-            and self._hook_complete is not None
-        )
         # thread_id -> ThreadMemStats as a flat list (thread ids are dense);
         # ``thread_stats`` keeps its lazy-population contract — a slot is
         # filled (and the dict entry created) at the thread's first issue.
         self._stats_by_tid: list = [None] * num_threads
         # Hot-array aliases: these list objects are created once by
         # ``FastDramState`` and only ever mutated in place, so binding them
-        # here drops two attribute hops per touch on the wake/issue path.
-        fast = self.fast
-        self._busy_arr = fast.busy_until
-        self._openrow_arr = fast.open_row
-        self._lastcmd_arr = fast.last_command
-        # The rest of the kernel state, aliased for the inlined copy of
-        # ``FastDramState.service_tuple`` in :meth:`_wake_kid` (the method
-        # remains the kernel of record for tests and the verify harness).
-        self._activate_arr = fast.activate_time
-        self._wrec_arr = fast.write_recovery
-        self._rowhits_arr = fast.row_hits
-        self._rowconf_arr = fast.row_conflicts
-        self._acc_arr = fast.accesses
-        self._busfree_arr = fast.bus_free
-        self._busbusy_arr = fast.bus_busy
-        self._buswait_arr = fast.bus_wait
-        self._bustrans_arr = fast.bus_transfers
-        timing = config.timing
-        self._tRCD = timing.tRCD
-        self._tCL = timing.tCL
-        self._tRP = timing.tRP
-        self._tRAS = timing.tRAS
-        self._tWR = timing.tWR
-        self._tBUS = timing.tBUS
-        self._drain_high = config.write_drain_high
-        self._drain_low = config.write_drain_low
+        # here drops two attribute hops per touch on the wake path.
+        self._busy_arr = self.fast.busy_until
+        self._openrow_arr = self.fast.open_row
+        self._lastcmd_arr = self.fast.last_command
         # Materialize the per-issue ``AccessOutcome`` object only when
         # something will read it: the guard's shadow checker, the tracer's
         # probes, or an outcome-consuming scheduler hook.  The command log
@@ -253,15 +207,6 @@ class FastMemoryController(MemoryController):
             guard is not None
             or tracer is not None
             or cls.uses_service_outcome
-        )
-        # Issue-side twin of the completion-path elision above: with no
-        # guard, tracer, telemetry mirror or outcome consumer attached,
-        # the issue epilogue folds its six probe-or-None checks into this
-        # one pre-bound flag (the command log stays a live check — verify
-        # mode enables it after construction).
-        self._issue_lean = (
-            guard is None and tracer is None and not self._want_outcome
-            and telemetry is None
         )
         # Address-decode state for :meth:`fast_access`, installed by the
         # port (which owns the mapping) via :meth:`install_mapping`.
@@ -316,19 +261,8 @@ class FastMemoryController(MemoryController):
             )
         if request.is_read:
             index = self._kid_reads[kid]
-            # ``BankReads.add`` inlined (runs once per read).
-            rows = index.rows
-            row = request.row
-            bucket = rows.get(row)
-            if bucket is None:
-                bucket = rows[row] = []
-            request.buf_pos = len(bucket)
-            bucket.append(request)
-            tid = request.thread_id
-            counts = index.thread_counts
-            counts[tid] = counts.get(tid, 0) + 1
-            index.size += 1
-            self._reads_per_thread[tid] += 1
+            index.add(request)
+            self._reads_per_thread[request.thread_id] += 1
             occupancy = self.read_occupancy + 1
             self.read_occupancy = occupancy
             if occupancy > self.peak_read_occupancy:
@@ -337,26 +271,10 @@ class FastMemoryController(MemoryController):
             hook = self._hook_enqueue
             if hook is not None:
                 hook(request, now)
-            if (
-                self._packed
-                and index.key_epoch == self.scheduler.index_epoch
-            ):
-                # ``FastBankSched.push`` inlined: append the packed key
-                # and bubble the cached minima.
-                k = self._pack_key(request)
-                keys = index.keys
-                kbucket = keys.get(row)
-                if kbucket is None:
-                    kbucket = keys[row] = []
-                kbucket.append(k)
-                row_best = index.row_best
-                rb = row_best.get(row)
-                if rb is None or k < rb[0]:
-                    entry = (k, request)
-                    row_best[row] = entry
-                    best = index.best
-                    if best is None or k < best[0]:
-                        index.best = entry
+            # After the hook: PAR-BS marks the request (and may start a
+            # batch, bumping the epoch) before its key is packed.
+            if self._packed:
+                index.push(request, self.scheduler)
         else:
             self._kid_writes[kid].push(request)
             self._write_occupancy += 1
@@ -377,125 +295,80 @@ class FastMemoryController(MemoryController):
         guard = self.guard
         if guard is not None:
             guard.on_enqueue(request, now)
-        self._arm_enqueue_wake(kid, now, queue)
-
-    def _arm_enqueue_wake(self, kid: int, now: int, queue) -> None:
-        """Arm the post-enqueue bank wake, eliding wakes the python path
-        provably wastes.
-
-        The reference controller always schedules a wake at ``now``; when
-        the bank is busy, that wake's only effect is to reschedule itself
-        to the bank-free time (its pick/issue code never runs).  The bank
-        cannot start another access between this enqueue and that wake —
-        only this bank's own wake issues on it, and the wake-dedup slot
-        holds at most one — so the rebound target is known *now*: arm the
-        wake directly at ``busy_until``.  The elided wake would have fired
-        immediately (before any later event allocates sequence numbers),
-        so pushing its rebound here preserves the relative seq order of
-        every surviving same-cycle wake — command streams stay
-        bit-identical.  Each skipped push counts into ``events_elided``.
-        """
+        # Arm the post-enqueue bank wake, eliding wakes the python path
+        # provably wastes.  The reference controller always schedules a
+        # wake at ``now``; when the bank is busy, that wake's only effect
+        # is to reschedule itself to the bank-free time (its pick/issue
+        # code never runs).  The bank cannot start another access between
+        # this enqueue and that wake — only this bank's own wake issues on
+        # it, and the wake-dedup slot holds at most one — so the rebound
+        # target is known *now*: arm the wake directly at ``busy_until``.
+        # The elided wake would have fired immediately (before any later
+        # event allocates sequence numbers), so pushing its rebound here
+        # preserves the relative seq order of every surviving same-cycle
+        # wake — command streams stay bit-identical.  Each skipped push
+        # counts into ``events_elided``.
         kid_wake = self._kid_wake
         pending = kid_wake[kid]
-        if pending is None or pending > now:
-            busy = self._busy_arr[kid]
-            if busy <= now:
-                kid_wake[kid] = now
-                heappush(
-                    queue._heap, (now, 1, queue._seq, self._wake_kid_cb, kid)
-                )
-                queue._seq += 1
-            elif pending == busy:
-                # A wake is already armed exactly at the bank-free time.
-                # Unless this event already elided for the bank (in which
-                # case the python path's immediate is still pending and it
-                # enqueues as a pure no-op), the python path spends an
-                # immediate wake plus the superseded duplicate its rebound
-                # leaves behind — both dead.  The duplicate is deferred:
-                # it only counts if the armed wake actually fires.
-                cur = queue.now_seq
-                if self._kid_elide_seq[kid] != cur:
-                    self._kid_elide_seq[kid] = cur
-                    self._kid_dup[kid] += 1
-                    self.events_elided += 1
-                    if self._phantom_seq == cur:
-                        self._phantom_count += 1
-                    else:
-                        self._phantom_seq = cur
-                        self._phantom_count = 1
-            else:
-                kid_wake[kid] = busy
-                heappush(
-                    queue._heap, (busy, 1, queue._seq, self._wake_kid_cb, kid)
-                )
-                queue._seq += 1
-                cur = queue.now_seq
-                self._kid_elide_seq[kid] = cur
-                self.events_elided += 1
-                if self._phantom_seq == cur:
-                    self._phantom_count += 1
-                else:
-                    self._phantom_seq = cur
-                    self._phantom_count = 1
+        if pending is not None and pending <= now:
+            return
+        busy = self._busy_arr[kid]
+        if busy <= now:
+            kid_wake[kid] = now
+            heappush(queue._heap, (now, 1, queue._seq, self._wake_kid_cb, kid))
+            queue._seq += 1
+            return
+        cur = queue.now_seq
+        if pending == busy:
+            # A wake is already armed exactly at the bank-free time.
+            # Unless this event already elided for the bank (in which case
+            # the python path's immediate is still pending and it enqueues
+            # as a pure no-op), the python path spends an immediate wake
+            # plus the superseded duplicate its rebound leaves behind —
+            # both dead.  The duplicate is deferred: it only counts if the
+            # armed wake actually fires.
+            if self._kid_elide_seq[kid] == cur:
+                return
+            self._kid_dup[kid] += 1
+        else:
+            kid_wake[kid] = busy
+            heappush(queue._heap, (busy, 1, queue._seq, self._wake_kid_cb, kid))
+            queue._seq += 1
+        self._kid_elide_seq[kid] = cur
+        self.events_elided += 1
+        if self._phantom_seq == cur:
+            self._phantom_count += 1
+        else:
+            self._phantom_seq = cur
+            self._phantom_count = 1
 
     def fast_access(
         self,
         thread_id: int,
         address: int,
-        is_write: bool,
         fn: Callable | None,
         arg: object,
     ) -> None:
-        """Closure-free read entry point: decode, request construction and
-        the read half of :meth:`enqueue` fused into one frame (cores call
-        this once per read — see ``Core._send``).  On completion the
-        controller calls ``fn(arg)`` directly.
+        """Closure-free read entry point (cores call this once per read —
+        see ``Core._send``): decode, build the request and :meth:`enqueue`
+        it.  On completion the controller calls ``fn(arg)`` directly.
 
         Requests are built by direct slot stores instead of the dataclass
         ``__init__`` — the generated initializer plus ``__post_init__``
         costs ~1µs per request, a measurable slice of the fast backend's
         per-read budget.  ``test_fastsim`` pins this field-for-field
-        against the dataclass constructor.  Writes (only the cache
-        hierarchy sends them here) fall back to the generic path.
+        against the dataclass constructor.  Writes are sent through
+        :meth:`FastDramPort.access`.
         """
         coords = self._coords.get(address)
         if coords is None:
-            # ``AddressMapping.map`` inlined, minus the DramCoordinates
-            # object and the column (which the controller never uses).
-            line = (address // 64) // self._cpr
-            nbk = self._nbk
-            channel = line % self._nch
-            line //= self._nch
-            bank = line % nbk
-            row = line // nbk
-            if self._xor:
-                bank ^= row % nbk
-            self._coords[address] = (channel, bank, row)
-        else:
-            channel, bank, row = coords
-        if is_write:
-            request = MemoryRequest(
-                thread_id=thread_id,
-                address=address,
-                channel=channel,
-                bank=bank,
-                row=row,
-                type=_WRITE,
-            )
-            request.on_complete = fn
-            request.on_complete_arg = arg
-            self.enqueue(request)
-            return
-        queue = self.queue
-        now = queue.now
+            self.predecode((address,))
+            coords = self._coords[address]
         request = MemoryRequest.__new__(MemoryRequest)
         request.thread_id = thread_id
         request.address = address
-        request.channel = channel
-        request.bank = bank
-        request.row = row
+        request.channel, request.bank, request.row = coords
         request.type = _READ
-        request.arrival_time = now
         request.request_id = next(_request_ids)
         request.issue_time = None
         request.completion_time = None
@@ -506,94 +379,7 @@ class FastMemoryController(MemoryController):
         request.on_complete_arg = arg
         request.service_outcome = None
         request.is_read = True
-        # -- read half of ``enqueue``, inlined ----------------------------
-        kid = channel * self._num_banks + bank
-        probe = self._p_req
-        if probe is not None:
-            probe.emit(
-                now,
-                "request.enqueue",
-                req=self._rid(request),
-                thread=thread_id,
-                ch=channel,
-                bank=bank,
-                row=row,
-                rw="R",
-            )
-        index = self._kid_reads[kid]
-        rows = index.rows
-        bucket = rows.get(row)
-        if bucket is None:
-            bucket = rows[row] = []
-        request.buf_pos = len(bucket)
-        bucket.append(request)
-        counts = index.thread_counts
-        counts[thread_id] = counts.get(thread_id, 0) + 1
-        index.size += 1
-        self._reads_per_thread[thread_id] += 1
-        occupancy = self.read_occupancy + 1
-        self.read_occupancy = occupancy
-        if occupancy > self.peak_read_occupancy:
-            self.peak_read_occupancy = occupancy
-        self.total_reads += 1
-        hook = self._hook_enqueue
-        if hook is not None:
-            hook(request, now)
-        if self._packed and index.key_epoch == self.scheduler.index_epoch:
-            # ``FastBankSched.push`` inlined (see ``enqueue``).
-            k = self._pack_key(request)
-            keys = index.keys
-            kbucket = keys.get(row)
-            if kbucket is None:
-                kbucket = keys[row] = []
-            kbucket.append(k)
-            row_best = index.row_best
-            rb = row_best.get(row)
-            if rb is None or k < rb[0]:
-                entry = (k, request)
-                row_best[row] = entry
-                best = index.best
-                if best is None or k < best[0]:
-                    index.best = entry
-        guard = self.guard
-        if guard is not None:
-            guard.on_enqueue(request, now)
-        # ``_arm_enqueue_wake`` inlined (cores call this once per read).
-        kid_wake = self._kid_wake
-        pending = kid_wake[kid]
-        if pending is None or pending > now:
-            busy = self._busy_arr[kid]
-            if busy <= now:
-                kid_wake[kid] = now
-                heappush(
-                    queue._heap, (now, 1, queue._seq, self._wake_kid_cb, kid)
-                )
-                queue._seq += 1
-            elif pending == busy:
-                cur = queue.now_seq
-                if self._kid_elide_seq[kid] != cur:
-                    self._kid_elide_seq[kid] = cur
-                    self._kid_dup[kid] += 1
-                    self.events_elided += 1
-                    if self._phantom_seq == cur:
-                        self._phantom_count += 1
-                    else:
-                        self._phantom_seq = cur
-                        self._phantom_count = 1
-            else:
-                kid_wake[kid] = busy
-                heappush(
-                    queue._heap, (busy, 1, queue._seq, self._wake_kid_cb, kid)
-                )
-                queue._seq += 1
-                cur = queue.now_seq
-                self._kid_elide_seq[kid] = cur
-                self.events_elided += 1
-                if self._phantom_seq == cur:
-                    self._phantom_count += 1
-                else:
-                    self._phantom_seq = cur
-                    self._phantom_count = 1
+        self.enqueue(request)
 
     def _wake_kid(self, kid: int) -> None:
         """Fused wake → try-issue → pick → issue for bank ``kid``."""
@@ -656,144 +442,45 @@ class FastMemoryController(MemoryController):
             )
             queue._seq += 1
             return
-        # -- pick (reference ``_pick`` inlined) ---------------------------
-        if has_writes and self._draining_writes:
+        # -- pick (the reference ``_pick``) -------------------------------
+        size = index.size
+        if size == 0 or (has_writes and self._draining_writes):
+            # No reads means writes are pending (the emptiness check above).
             request = writes.peek()
+        elif not self._packed:
+            request = self.scheduler.select(list(index.requests()), key, now)
+        elif size == 1:
+            # Forced decision: with exactly one buffered read, every policy
+            # returns it — skip arbitration entirely (no refresh_index, no
+            # epoch check, no key rebuild).  The packed-key decision is
+            # pure modulo memoization, so the skipped consultation has no
+            # observable effect; scheduler epoch state re-derives at the
+            # next contended arbitration from the same counters the
+            # reference backend sees there, and a stale key array is
+            # dropped exactly on removal (see ``FastBankSched.remove``).
+            for bucket in index.rows.values():
+                request = bucket[0]
+                break
         else:
-            request = None
-        if request is None:
-            size = index.size
-            if size == 0:
-                if not has_writes:
-                    return
-                request = writes.peek()
-            elif not self._packed:
-                request = self.scheduler.select(
-                    list(index.requests()), key, now
-                )
-            elif size == 1:
-                # Forced decision: with exactly one buffered read, every
-                # policy returns it — skip arbitration entirely (no
-                # refresh_index, no epoch check, no key rebuild).  The
-                # packed-key decision is pure modulo memoization, so the
-                # skipped consultation has no observable effect;
-                # scheduler epoch state re-derives at the next contended
-                # arbitration from the same counters the reference backend
-                # sees there, and a stale key array is dropped exactly on
-                # removal (see the inlined remove below).
-                for bucket in index.rows.values():
-                    request = bucket[0]
-                    break
-            else:
-                sched = self.scheduler
-                if self._generic_select:
-                    # ``Scheduler.select_indexed`` on the packed
-                    # kernel: two cached-minimum reads plus (at most)
-                    # one shifted int compare.
-                    refresh = self._refresh_index
-                    if refresh is not None:
-                        refresh(now)
-                    if index.key_epoch != sched.index_epoch:
-                        index.ensure(sched)
-                        probe = sched._p_sched
-                        if probe is not None:
-                            probe.emit(
-                                now,
-                                "sched.rqindex_rebuild",
-                                ch=key[0],
-                                bank=key[1],
-                                epoch=sched.index_epoch,
-                                size=index.size,
-                            )
-                    best = index.best
-                    row = self._openrow_arr[kid]
-                    if row is None or not self._uses_row:
-                        request = best[1]
-                    else:
-                        hit = index.row_best.get(row)
-                        if hit is None or hit is best:
-                            request = best[1]
-                        else:
-                            # Read live, never cached: STFM flips its
-                            # prefix when it toggles between fair mode
-                            # (shift above the age bits) and FR-FCFS
-                            # mode (None: a hit always wins).
-                            shift = sched.pack_prefix_shift
-                            if shift is None or (hit[0] >> shift) == (
-                                best[0] >> shift
-                            ):
-                                request = hit[1]
-                            else:
-                                request = best[1]
-                else:
-                    request = sched.select_indexed(
-                        index, key, now, self._openrow_arr[kid]
-                    )
+            request = self.scheduler.select_indexed(
+                index, key, now, self._openrow_arr[kid]
+            )
         # Slot availability was checked before the pick; book it now.
         lastcmd[channel_id] = now
         # -- issue (reference ``_issue`` fused) ---------------------------
         guard = self.guard
         if guard is not None:
             guard.on_pre_issue(request, key, now)
-        if request.is_read:
-            # ``FastBankSched.remove`` inlined: exact swap-pop of the row
-            # bucket and its parallel key array; a cached minimum is
-            # rebuilt (one C-level ``min`` over ints) only when the issued
-            # request held it.
-            row = request.row
-            rows = index.rows
-            bucket = rows[row]
-            pos = request.buf_pos
-            last = bucket.pop()
-            if last is not request:
-                bucket[pos] = last
-                last.buf_pos = pos
-            request.buf_pos = -1
-            counts = index.thread_counts
-            tid = request.thread_id
-            remaining = counts[tid] - 1
-            if remaining:
-                counts[tid] = remaining
-            else:
-                del counts[tid]
-            index.size -= 1
-            keys = index.keys
-            kbucket = keys.get(row)
-            if kbucket is not None:
-                if len(kbucket) == len(bucket) + 1:
-                    klast = kbucket.pop()
-                    if last is not request:
-                        kbucket[pos] = klast
-                else:
-                    # Desynced since an epoch bump (pushes were skipped);
-                    # the pending ensure() rebuilds keys and minima.
-                    del keys[row]
-                    index.row_best.pop(row, None)
-                    kbucket = None
-            row_best = index.row_best
-            if not bucket:
-                del rows[row]
-                keys.pop(row, None)
-                row_best.pop(row, None)
-            else:
-                rb = row_best.get(row)
-                if rb is not None and rb[1] is request:
-                    if kbucket:
-                        index.min_rebuilds += 1
-                        m = min(kbucket)
-                        row_best[row] = (m, bucket[kbucket.index(m)])
-                    else:
-                        row_best.pop(row, None)
-            best = index.best
-            if best is not None and best[1] is request:
-                index.best = min(row_best.values()) if row_best else None
-            self._reads_per_thread[tid] -= 1
+        is_read = request.is_read
+        if is_read:
+            index.remove(request)
+            self._reads_per_thread[request.thread_id] -= 1
             self.read_occupancy -= 1
         else:
             self._kid_writes[kid].remove(request)
             self._write_occupancy -= 1
             if (
-                self._write_occupancy <= self._drain_low
+                self._write_occupancy <= self.config.write_drain_low
                 and self._draining_writes
             ):
                 self._draining_writes = False
@@ -803,162 +490,64 @@ class FastMemoryController(MemoryController):
                         now, "dram.drain", on=0, writes=self._write_occupancy
                     )
         request.issue_time = now
-        # -- timing kernel (``FastDramState.service_tuple`` inlined) ------
-        # ``start == now``: the prologue already returned when the bank was
-        # busy past ``now``, so the kernel's busy-until clamp is dead here.
         row = request.row
-        openrow_arr = self._openrow_arr
-        open_row = openrow_arr[kid]
-        cursor = now
-        precharge_at = None
-        activate_at = None
-        if open_row is None:
-            row_result = "closed"
-            bound = self._wrec_arr[kid]
-            if bound > cursor:
-                cursor = bound
-            self._activate_arr[kid] = cursor
-            activate_at = cursor
-            cursor += self._tRCD
-        elif open_row == row:
-            row_result = "hit"
-            self._rowhits_arr[kid] += 1
-        else:
-            row_result = "conflict"
-            bound = self._activate_arr[kid] + self._tRAS
-            if bound > cursor:
-                cursor = bound
-            bound = self._wrec_arr[kid]
-            if bound > cursor:
-                cursor = bound
-            precharge_at = cursor
-            cursor += self._tRP
-            activate_at = cursor
-            cursor += self._tRCD
-            self._activate_arr[kid] = activate_at
-            self._rowconf_arr[kid] += 1
-        cas_at = cursor
-        cas_done = cursor + self._tCL
-        busfree_arr = self._busfree_arr
-        free_at = busfree_arr[channel_id]
-        data_start = cas_done if cas_done >= free_at else free_at
-        tbus = self._tBUS
-        completion = data_start + tbus
-        busfree_arr[channel_id] = completion
-        self._busbusy_arr[channel_id] += tbus
-        self._buswait_arr[channel_id] += data_start - cas_done
-        self._bustrans_arr[channel_id] += 1
-        openrow_arr[kid] = row
-        self._busy_arr[kid] = completion
-        if not request.is_read:
-            self._wrec_arr[kid] = completion + self._tWR
-        self._acc_arr[kid] += 1
-        # -- end of inlined kernel ----------------------------------------
+        # ``AccessOutcome.as_tuple()`` order: (start, data_start,
+        # completion, bank_free, row_result, precharge_at, activate_at,
+        # cas_at); ``bank_free == completion`` in this timing model.
+        tup = self.fast.service_tuple(kid, channel_id, row, not is_read, now)
+        completion = tup[2]
+        row_result = tup[4]
         # Keep the object model's row buffer current: scan-mode selects,
         # ``Scheduler._row_hit`` and the stall report read it mid-run.
         self._kid_bank[kid].open_row = row
         log = self.command_log
-        if self._issue_lean:
-            # Nothing attached (no guard, tracer, telemetry or outcome
-            # consumer): one pre-bound flag replaces the five
-            # probe-or-None checks of the full epilogue below.  Only the
-            # command log stays a live check — verify mode enables it
-            # after construction.
-            if log is not None:
-                tup = (
+        if self._want_outcome or log is not None:
+            request.service_outcome = AccessOutcome(*tup)
+        if self._mirror_bus:
+            fast = self.fast
+            self._kid_bank[kid].busy_until = completion
+            bus = self.channels[channel_id].bus
+            bus.free_at = fast.bus_free[channel_id]
+            bus.busy_cycles = fast.bus_busy[channel_id]
+            bus.transfers = fast.bus_transfers[channel_id]
+            bus.wait_cycles = fast.bus_wait[channel_id]
+        if guard is not None:
+            guard.on_post_issue(request, request.service_outcome, key, now)
+        probe = self._p_req
+        if probe is not None:
+            probe.emit(
+                now,
+                "request.issue",
+                req=self._rid(request),
+                thread=request.thread_id,
+                ch=request.channel,
+                bank=request.bank,
+                row=row,
+                result=row_result,
+                queued=now - request.arrival_time,
+            )
+        if self._p_cmd is not None:
+            self._emit_cmds(request, request.service_outcome)
+        if log is not None:
+            log.append(
+                (
                     now,
-                    data_start,
-                    completion,
-                    completion,
-                    row_result,
-                    precharge_at,
-                    activate_at,
-                    cas_at,
+                    self._rid(request),
+                    request.thread_id,
+                    request.channel,
+                    request.bank,
+                    row,
+                    is_read,
                 )
-                request.service_outcome = AccessOutcome(*tup)
-                # ``tup`` field order is ``AccessOutcome.as_tuple()``.
-                log.append(
-                    (
-                        now,
-                        self._rid(request),
-                        request.thread_id,
-                        request.channel,
-                        request.bank,
-                        request.row,
-                        request.is_read,
-                    )
-                    + tup
-                )
-        else:
-            if self._want_outcome or log is not None:
-                tup = (
-                    now,
-                    data_start,
-                    completion,
-                    completion,
-                    row_result,
-                    precharge_at,
-                    activate_at,
-                    cas_at,
-                )
-                request.service_outcome = AccessOutcome(*tup)
-            if self._mirror_bus:
-                fast = self.fast
-                bank = self._kid_bank[kid]
-                bank.busy_until = completion
-                bus = self.channels[channel_id].bus
-                bus.free_at = fast.bus_free[channel_id]
-                bus.busy_cycles = fast.bus_busy[channel_id]
-                bus.transfers = fast.bus_transfers[channel_id]
-                bus.wait_cycles = fast.bus_wait[channel_id]
-            if guard is not None:
-                guard.on_post_issue(
-                    request, request.service_outcome, key, now
-                )
-            probe = self._p_req
-            if probe is not None:
-                probe.emit(
-                    now,
-                    "request.issue",
-                    req=self._rid(request),
-                    thread=request.thread_id,
-                    ch=request.channel,
-                    bank=request.bank,
-                    row=request.row,
-                    result=row_result,
-                    queued=now - request.arrival_time,
-                )
-            cmd_probe = self._p_cmd
-            if cmd_probe is not None:
-                self._emit_cmds(request, request.service_outcome)
-            if log is not None:
-                # ``tup`` field order is ``AccessOutcome.as_tuple()``.
-                log.append(
-                    (
-                        now,
-                        self._rid(request),
-                        request.thread_id,
-                        request.channel,
-                        request.bank,
-                        request.row,
-                        request.is_read,
-                    )
-                    + tup
-                )
+                + tup
+            )
 
         tid = request.thread_id
         stats = self._stats_by_tid[tid]
         if stats is None:
             stats = self._stats_by_tid[tid] = self._stats(tid)
-        if request.is_read:
-            # ``ThreadMemStats.service_started`` inlined.
-            in_service = stats.in_service
-            if in_service > 0:
-                span = now - stats._last_change
-                stats.blp_integral += span * in_service
-                stats.busy_time += span
-            stats._last_change = now
-            stats.in_service = in_service + 1
+        if is_read:
+            stats.service_started(now)
         if row_result == "hit":
             stats.row_hits += 1
         else:
@@ -970,8 +559,7 @@ class FastMemoryController(MemoryController):
         heap = queue._heap
         heappush(heap, (completion, 0, queue._seq, self._complete_cb, request))
         queue._seq += 1
-        # The bank can take its next request once this access releases it
-        # (``bank_free == completion`` in this timing model).
+        # The bank can take its next request once this access releases it.
         pending = kid_wake[kid]
         if pending is None or pending > completion:
             kid_wake[kid] = completion
@@ -987,14 +575,7 @@ class FastMemoryController(MemoryController):
         if stats is None:
             stats = self._stats_by_tid[tid] = self._stats(tid)
         if request.is_read:
-            # ``ThreadMemStats.service_finished`` inlined.
-            in_service = stats.in_service
-            if in_service > 0:
-                span = now - stats._last_change
-                stats.blp_integral += span * in_service
-                stats.busy_time += span
-            stats._last_change = now
-            stats.in_service = in_service - 1
+            stats.service_finished(now)
             stats.reads += 1
         else:
             stats.writes += 1
@@ -1002,30 +583,26 @@ class FastMemoryController(MemoryController):
         stats.latency_sum += latency
         if latency > stats.latency_max:
             stats.latency_max = latency
-        if not self._complete_lean:
-            if self._complete_hook_only:
-                self._hook_complete(request, now)
-            else:
-                telemetry = self.telemetry
-                if telemetry is not None:
-                    telemetry.record_latency(request.thread_id, latency)
-                probe = self._p_req
-                if probe is not None:
-                    probe.emit(
-                        now,
-                        "request.complete",
-                        req=self._rid(request),
-                        thread=request.thread_id,
-                        ch=request.channel,
-                        bank=request.bank,
-                        latency=latency,
-                    )
-                guard = self.guard
-                if guard is not None:
-                    guard.on_complete(request, now)
-                hook = self._hook_complete
-                if hook is not None:
-                    hook(request, now)
+        telemetry = self.telemetry
+        if telemetry is not None:
+            telemetry.record_latency(tid, latency)
+        probe = self._p_req
+        if probe is not None:
+            probe.emit(
+                now,
+                "request.complete",
+                req=self._rid(request),
+                thread=tid,
+                ch=request.channel,
+                bank=request.bank,
+                latency=latency,
+            )
+        guard = self.guard
+        if guard is not None:
+            guard.on_complete(request, now)
+        hook = self._hook_complete
+        if hook is not None:
+            hook(request, now)
         callback = request.on_complete
         if callback is not None:
             arg = request.on_complete_arg
@@ -1107,9 +684,9 @@ class FastDramPort:
 
     ``fast_access`` — the closure-free per-read protocol carrying the
     completion callback as a pre-bound ``(fn, arg)`` pair — lives on the
-    controller (decode, request construction and enqueue fused into one
-    frame); the port binds it as an instance attribute so cores pick it up
-    via ``getattr(memory, "fast_access")`` with zero extra indirection.
+    controller; the port binds it as an instance attribute so cores pick
+    it up via ``getattr(memory, "fast_access")`` with zero extra
+    indirection.
     """
 
     __slots__ = ("controller", "mapping", "fast_access")
@@ -1129,16 +706,13 @@ class FastDramPort:
         is_write: bool,
         on_complete: Callable[[], None] | None,
     ) -> None:
-        """Reference ``DramPort`` protocol (used by the cache hierarchy)."""
+        """Reference ``DramPort`` protocol: cores send their writes here
+        (their reads take ``fast_access``)."""
         controller = self.controller
         coords = controller._coords.get(address)
         if coords is None:
-            mapped = self.mapping.map(address)
-            coords = controller._coords[address] = (
-                mapped.channel,
-                mapped.bank,
-                mapped.row,
-            )
+            controller.predecode((address,))
+            coords = controller._coords[address]
         request = MemoryRequest(
             thread_id=thread_id,
             address=address,

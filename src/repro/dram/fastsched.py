@@ -90,7 +90,8 @@ class FastBankSched(BankReads):
         are current, out of the parallel key array) in O(1), rebuilding a
         cached minimum only if the removed request held it."""
         row = request.row
-        bucket = self.rows[row]
+        rows = self.rows
+        bucket = rows[row]
         pos = request.buf_pos
         last = bucket.pop()
         if last is not request:
@@ -98,13 +99,16 @@ class FastBankSched(BankReads):
             last.buf_pos = pos
         request.buf_pos = -1
         counts = self.thread_counts
-        remaining = counts[request.thread_id] - 1
+        tid = request.thread_id
+        remaining = counts[tid] - 1
         if remaining:
-            counts[request.thread_id] = remaining
+            counts[tid] = remaining
         else:
-            del counts[request.thread_id]
+            del counts[tid]
         self.size -= 1
-        kbucket = self.keys.get(row)
+        keys = self.keys
+        row_best = self.row_best
+        kbucket = keys.get(row)
         if kbucket is not None:
             if len(kbucket) == len(bucket) + 1:
                 klast = kbucket.pop()
@@ -114,25 +118,24 @@ class FastBankSched(BankReads):
                 # Stale parallel array: pushes were skipped after an epoch
                 # bump.  Drop it — the pending :meth:`ensure` rebuilds the
                 # keys and minima from membership before the next decision.
-                del self.keys[row]
-                self.row_best.pop(row, None)
+                del keys[row]
+                row_best.pop(row, None)
                 kbucket = None
         if not bucket:
-            del self.rows[row]
-            self.keys.pop(row, None)
-            self.row_best.pop(row, None)
+            del rows[row]
+            keys.pop(row, None)
+            row_best.pop(row, None)
         else:
-            rb = self.row_best.get(row)
+            rb = row_best.get(row)
             if rb is not None and rb[1] is request:
                 if kbucket:
                     self.min_rebuilds += 1
                     m = min(kbucket)
-                    self.row_best[row] = (m, bucket[kbucket.index(m)])
+                    row_best[row] = (m, bucket[kbucket.index(m)])
                 else:  # stale: minima rebuilt by the next ensure()
-                    self.row_best.pop(row, None)
+                    row_best.pop(row, None)
         best = self.best
         if best is not None and best[1] is request:
-            row_best = self.row_best
             self.best = min(row_best.values()) if row_best else None
 
     # -- key maintenance ---------------------------------------------------
@@ -148,10 +151,9 @@ class FastBankSched(BankReads):
         if kbucket is None:
             kbucket = self.keys[row] = []
         kbucket.append(k)
-        entry = (k, request)
         rb = self.row_best.get(row)
         if rb is None or k < rb[0]:
-            self.row_best[row] = entry
+            entry = self.row_best[row] = (k, request)
             best = self.best
             if best is None or k < best[0]:
                 self.best = entry
@@ -173,12 +175,3 @@ class FastBankSched(BankReads):
         self.row_best = row_best
         self.best = min(row_best.values()) if row_best else None
         self.key_epoch = scheduler.index_epoch
-
-    # -- queries -----------------------------------------------------------
-    def peek(self) -> tuple | None:
-        """Minimum-key entry over the whole bank, or None if empty."""
-        return self.best
-
-    def peek_row(self, row: int) -> tuple | None:
-        """Minimum-key entry among requests targeting ``row``."""
-        return self.row_best.get(row)

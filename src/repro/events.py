@@ -89,7 +89,7 @@ class EventQueue:
     """
 
     # Slotted: ``now`` and ``_seq`` are read/written multiple times per
-    # event by the run loop and the fast backend's inlined push sites.
+    # event by the run loop and the fast backend's direct heap pushes.
     # ``now_seq`` is the sequence number of the event currently being
     # dispatched — sequence numbers are unique, so it identifies *which*
     # event is running, not just when.  The fast backend's wake elision

@@ -155,8 +155,9 @@ class Scheduler(ABC):
         * the bank-wide best otherwise (which is then provably a miss —
           were it a hit, the best hit's prefix would tie it).
 
-        The fast controller inlines this body for every policy that does
-        not override it.
+        The fast controller calls this for every contended packed
+        decision (a bank holding one read skips arbitration);
+        ``tests/test_fastsched.py`` fuzzes it against :meth:`select`.
         """
         self.refresh_index(now)
         if index.key_epoch != self.index_epoch:
@@ -171,10 +172,10 @@ class Scheduler(ABC):
                     epoch=self.index_epoch,
                     size=index.size,
                 )
-        best = index.peek()
+        best = index.best
         if open_row is None or not self.index_uses_row:
             return best[1]
-        hit = index.peek_row(open_row)
+        hit = index.row_best.get(open_row)
         if hit is None:
             return best[1]
         shift = self.pack_prefix_shift

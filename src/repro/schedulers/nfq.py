@@ -140,11 +140,11 @@ class NfqScheduler(Scheduler):
         if index.key_epoch != self.index_epoch:
             index.ensure(self)
         if open_row is not None:
-            hit = index.peek_row(open_row)
+            hit = index.row_best.get(open_row)
             if hit is not None:
                 if now - self._row_open_since.get(bank, now) < self._inv_thresh:
                     return hit[1]
-        return index.peek()[1]
+        return index.best[1]
 
     def select(
         self, candidates: Sequence[MemoryRequest], bank: BankKey, now: int

@@ -6,7 +6,7 @@ must equal the one the policy's own reference scan,
 :meth:`~repro.schedulers.base.Scheduler.select`, makes over the same
 buffered requests with the same open row — the python backend arbitrates
 with exactly that scan, and the backends must produce the same command
-stream.  Two layers pin this:
+stream.  Three layers pin this:
 
 - a randomized differential fuzz that drives the kernel through hundreds
   of mixed enqueue/complete/priority-change operations per policy, and
@@ -14,6 +14,9 @@ stream.  Two layers pin this:
   select_indexed` with ``select`` for every possible open row (this is
   what exercises the stale-key-array corners: pushes skipped after an
   epoch bump, removals against stale parallel arrays, minima rebuilds);
+- a check that a fast-backend simulation of each policy makes every
+  contended decision through that same ``select_indexed``, on cached
+  minima equal to a fresh rebuild;
 - golden command-stream equivalence over full simulations — every
   scheduler x {4, 8} cores x 2 seeds through the ``test_fastsim``
   harness, comparing the issued DRAM command log entry by entry.
@@ -180,6 +183,60 @@ def test_kernel_stale_array_removal(scheduler_name):
     live.append(request)
     kernel.remove(live.pop(2))  # stale-array drop path
     _assert_decisions_match(kernel, scheduler, live, 2)
+
+
+def _minima(kernel: FastBankSched):
+    """The kernel's key arrays and cached minima, requests by identity."""
+    best = kernel.best
+    return (
+        kernel.keys,
+        {row: (k, id(r)) for row, (k, r) in kernel.row_best.items()},
+        None if best is None else (best[0], id(best[1])),
+    )
+
+
+@pytest.mark.parametrize("scheduler_name", SCHEDULER_NAMES)
+def test_simulation_decides_through_select_indexed(scheduler_name, monkeypatch):
+    """A fast-backend run makes every contended packed decision with the
+    policy's ``select_indexed`` — the method the fuzz above checks — and
+    issues what it returned.  At each decision the bank's key arrays and
+    cached minima equal a fresh ``ensure()`` rebuild from membership."""
+    system = System(
+        baseline_system(NUM_THREADS),
+        make_scheduler(scheduler_name, NUM_THREADS),
+        list(_traces(NUM_THREADS, 0)),
+        repeat=True,
+        backend="fast",
+    )
+    policy = system.controller.scheduler
+    select_indexed = policy.select_indexed
+    remove = FastBankSched.remove
+    picks: dict[int, MemoryRequest] = {}
+    decisions = 0
+
+    def checked_select(index, bank, now, open_row):
+        chosen = select_indexed(index, bank, now, open_row)
+        fresh = FastBankSched()
+        fresh.rows = index.rows
+        fresh.ensure(policy)
+        assert _minima(index) == _minima(fresh), (bank, now)
+        picks[id(index)] = chosen
+        return chosen
+
+    def checked_remove(index, request):
+        nonlocal decisions
+        if index.size > 1:
+            # Reads leave a bank only when issued; with company in the
+            # bank, the pick was contended and must be the indexed one.
+            assert picks.pop(id(index)) is request
+            decisions += 1
+        remove(index, request)
+
+    monkeypatch.setattr(policy, "select_indexed", checked_select)
+    monkeypatch.setattr(FastBankSched, "remove", checked_remove)
+    system.run()
+    assert decisions > 100
+    assert not picks  # every decision was issued
 
 
 # -- golden command streams -----------------------------------------------------

@@ -189,8 +189,8 @@ def test_progress_hook_fires_once_per_watchdog_checkpoint(monkeypatch, backend):
 
 # -- the timing kernel ---------------------------------------------------------
 def test_fastbank_kernel_matches_bank_service():
-    """``FastDramState.service_tuple`` is the kernel of record: bit-identical
-    to ``Bank.service`` + ``DataBus.reserve`` over a randomized command mix
+    """``FastDramState.service_tuple``, the timing step the fast controller
+    calls for every access, is bit-identical to ``Bank.service`` + ``DataBus.reserve`` over a randomized command mix
     (hits, conflicts, closed-row activates, write recovery, bus contention,
     back-pressured and idle starts)."""
     timing = baseline_system(4).dram.timing
@@ -229,7 +229,7 @@ def test_fast_access_request_matches_dataclass_constructor():
     )
     port = FastDramPort(controller, config.dram.mapping())
     address = 7 * 64 + (3 << 16)
-    port.fast_access(2, address, False, None, None)
+    port.fast_access(2, address, None, None)
     fast_request = next(iter(controller.buffered_reads()))
 
     coords = config.dram.mapping().map(address)
